@@ -7,7 +7,7 @@ migration) under both representations:
 * **sparse**: box calculus on :class:`~repro.geometry.OwnerMap` corner
   arrays (the production path);
 * **dense**: rasterize the same distributions and run the original numpy
-  raster reductions (the cross-check path).
+  raster reductions (the test oracles in ``tests/oracles.py``).
 
 Two workloads are exercised: the paper's 2-D scale and the 3-D ``deep``
 scale (32^3 base, 5 levels — a 512^3 finest index space) that motivated
@@ -21,8 +21,6 @@ from __future__ import annotations
 import time
 import tracemalloc
 
-import pytest
-
 from repro.engine.components import create
 from repro.experiments import paper_trace
 from repro.simulator import (
@@ -31,10 +29,15 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    migration_cells_dense,
 )
 
 from conftest import BENCH_NPROCS, bench_scale, record_bench
+from tests.oracles import (
+    dense_ghost_exchange_cells,
+    dense_ghost_message_pairs,
+    dense_interlevel_transfer_cells,
+    dense_migration_cells,
+)
 
 
 def _distributions(app: str, scale: str):
@@ -67,20 +70,22 @@ def _dense_metrics(hierarchy, prev, cur) -> tuple:
     prev_rasters = tuple(m.rasterize() for m in prev.maps)
     cur_rasters = tuple(m.rasterize() for m in cur.maps)
     ghost = sum(
-        ghost_exchange_cells(cur_rasters[level.index]) for level in hierarchy
+        dense_ghost_exchange_cells(cur_rasters[level.index])
+        for level in hierarchy
     )
     pairs = sum(
-        ghost_message_pairs(cur_rasters[level.index]) for level in hierarchy
+        dense_ghost_message_pairs(cur_rasters[level.index])
+        for level in hierarchy
     )
     inter = sum(
-        interlevel_transfer_cells(
+        dense_interlevel_transfer_cells(
             cur_rasters[level.index - 1],
             cur_rasters[level.index],
             level.ratio,
         )
         for level in hierarchy.levels[1:]
     )
-    return ghost, pairs, inter, migration_cells_dense(prev_rasters, cur_rasters)
+    return ghost, pairs, inter, dense_migration_cells(prev_rasters, cur_rasters)
 
 
 def _measure(fn, *args) -> tuple[tuple, float, int]:

@@ -28,7 +28,6 @@ from repro.experiments import paper_trace
 from repro.geometry import (
     pair_index_counters,
     pair_index_forced,
-    pair_reuse_forced,
     reset_pair_index_counters,
 )
 from repro.simulator import (
@@ -127,54 +126,28 @@ def _compare(app: str, scale: str, run_brute: bool = True) -> dict:
     return row
 
 
-def _measure_reuse(mode: str, app: str, scale: str):
-    """One cold metric-set evaluation under a pair-reuse mode.
+def _measure_reuse(app: str, scale: str) -> dict:
+    """One cold metric-set evaluation on persistent pair indexes.
 
-    Distributions are rebuilt per call so each mode starts from maps
-    with no cached persistent index — reuse-on timings include the
-    cold index builds they amortise.
+    Distributions are rebuilt so the maps start with no cached index —
+    the timing includes the cold index builds the probes amortise.
     """
     hierarchy, prev, cur = _distributions(app, scale)
-    reset_pair_index_counters()
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    with pair_index_forced("grid"), pair_reuse_forced(mode):
-        result = _metric_set(hierarchy, prev, cur)
-    seconds = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak, pair_index_counters().as_dict()
-
-
-def _compare_reuse(app: str, scale: str) -> dict:
-    """Reuse-on vs reuse-off (the per-query PR-6 path) on one workload."""
-    on_out, on_s, on_peak, on_counters = _measure_reuse("auto", app, scale)
-    off_out, off_s, off_peak, off_counters = _measure_reuse("off", app, scale)
-    assert on_out == off_out, "reuse layer changed a metric"
-    assert on_counters["index_reuses"] > 0, "persistent indexes never probed"
-    assert off_counters["index_reuses"] == 0, "reuse=off still reused"
+    _, seconds, peak, counters = _measure("grid", hierarchy, prev, cur)
     row = {
         "workload": f"{app}:{scale}",
-        "reuse_on_s": on_s,
-        "reuse_off_s": off_s,
-        "index_builds": on_counters["index_builds"],
-        "index_reuses": on_counters["index_reuses"],
-        "speedup": off_s / max(on_s, 1e-9),
+        "reuse_on_s": seconds,
+        "index_builds": counters["index_builds"],
+        "index_reuses": counters["index_reuses"],
     }
     print(
-        f"\n  {row['workload']:<12} reuse on {on_s * 1e3:8.1f} ms "
+        f"\n  {row['workload']:<12} reuse on {seconds * 1e3:8.1f} ms "
         f"({row['index_builds']} builds amortised over "
-        f"{row['index_reuses']} probes) | "
-        f"off {off_s * 1e3:8.1f} ms | speedup x{row['speedup']:.2f}"
+        f"{row['index_reuses']} probes)"
     )
     record_bench(
-        "pair_kernels", f"reuse-on:{row['workload']}", on_s,
-        peak_mb=on_peak / 1e6, counters=on_counters,
-    )
-    record_bench(
-        "pair_kernels", f"reuse-off:{row['workload']}", off_s,
-        peak_mb=off_peak / 1e6, counters=off_counters,
-        speedup=row["speedup"],
+        "pair_kernels", f"reuse-on:{row['workload']}", seconds,
+        peak_mb=peak / 1e6, counters=counters,
     )
     return row
 
@@ -211,23 +184,22 @@ def test_pair_kernels_3d_deep(benchmark):
 
 
 def test_pair_kernels_reuse_deep(benchmark):
-    """3-D deep: the persistent-index metric set must be >= 1.5x faster.
+    """3-D deep: each persistent index serves several kernel queries.
 
-    Reuse-off is the PR-6 per-query baseline (every kernel call builds
-    its own throwaway bucket structure); reuse-on answers all of a
-    step's queries from one persistent index per owner map.  At
-    ``REPRO_BENCH_SCALE=paper`` this runs the true ``deep`` scale; the
-    CI-sized ``small`` fallback only asserts agreement.
+    One persistent index per owner map answers all of a step's queries.
+    At ``REPRO_BENCH_SCALE=paper`` this runs the true ``deep`` scale and
+    gates on probes outnumbering builds; the CI-sized ``small`` fallback
+    only records the counters.  Agreement with brute force is asserted
+    by the other tests of this file.
     """
     scale = "deep" if bench_scale() == "paper" else "small"
-    row = _compare_reuse("tp3d", scale)
+    row = _measure_reuse("tp3d", scale)
     hierarchy, prev, cur = _distributions("tp3d", scale)
-    with pair_index_forced("grid"), pair_reuse_forced("auto"):
+    with pair_index_forced("grid"):
         benchmark(_metric_set, hierarchy, prev, cur)
     if scale == "deep":
-        assert row["reuse_off_s"] >= 1.5 * row["reuse_on_s"], (
-            f"expected >= 1.5x end-to-end reuse speedup at deep scale, "
-            f"got x{row['speedup']:.2f}"
+        assert row["index_reuses"] > row["index_builds"], (
+            f"{row['index_reuses']} probes for {row['index_builds']} builds"
         )
 
 

@@ -29,14 +29,12 @@ declarative job:
   (``run`` / ``sweep`` / ``plan`` / ``graph`` / ``report`` /
   ``describe`` / ``cache``).
 
-This package is the engine's **versioned public API**: everything in
-``__all__`` follows the deprecation policy (one release of
-``DeprecationWarning`` before removal — currently the PR-2 helpers
-``make_partitioner`` / ``make_schedule`` / ``make_machine``), and
-:data:`ENGINE_API_VERSION` bumps its major component on breaking
-changes.  :data:`ENGINE_SCHEMA_VERSION` (part of every content hash) is
-orthogonal: it only moves when stored-result *semantics* change, so an
-API redesign that keeps hashes stable keeps every warm store warm.
+This package is the engine's **versioned public API**: removing or
+breaking anything in ``__all__`` bumps the major component of
+:data:`ENGINE_API_VERSION`.  :data:`ENGINE_SCHEMA_VERSION` (part of
+every content hash) is orthogonal: it only moves when stored-result
+*semantics* change, so an API redesign that keeps hashes stable keeps
+every warm store warm.
 
 Import discipline: :mod:`repro.experiments` imports this package at
 module scope, so engine modules only import the experiment layer lazily
@@ -61,9 +59,6 @@ from .components import (
     describe,
     is_schedule,
     load_plugins,
-    make_machine,
-    make_partitioner,
-    make_schedule,
     register,
     registry,
     resolve_machine,
@@ -92,11 +87,16 @@ from .store import (
 #: :mod:`repro.warehouse` columnar subsystem (``repro warehouse``,
 #: ``repro report --from-warehouse``, registry kind
 #: ``warehouse-format``).
-#: 1.4: the zero-copy store read plane — memory-mapped series loads
-#: (``REPRO_STORE_MMAP``), the per-process read cache
-#: (``REPRO_STORE_CACHE``, ``read_cache_stats``/``clear_read_cache``)
-#: — and the pair-kernel reuse layer (``REPRO_PAIR_REUSE``).
-ENGINE_API_VERSION = "1.4"
+#: 1.4: the zero-copy store read plane — memory-mapped series loads,
+#: the per-process read cache (``REPRO_STORE_CACHE``,
+#: ``read_cache_stats``/``clear_read_cache``) — and the pair-kernel
+#: reuse layer.
+#: 2.0: removed the three ``make_*`` helpers (partitioner, schedule,
+#: machine; use ``create`` / ``resolve_machine``), the store-mmap and
+#: pair-reuse environment switches, the simulator's dense cross-check
+#: option, the dense migration reference, ``PartitionResult.owners``
+#: and the ``owners=`` constructor input (see README "Removed in 0.11").
+ENGINE_API_VERSION = "2.0"
 
 __all__ = [
     # versions
@@ -150,10 +150,6 @@ __all__ = [
     "SCHEDULE_NAMES",
     "MACHINE_NAMES",
     "BACKEND_NAMES",
-    # deprecated shims (DeprecationWarning; removal after one release)
-    "make_partitioner",
-    "make_schedule",
-    "make_machine",
 ]
 
 

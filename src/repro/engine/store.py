@@ -93,16 +93,6 @@ def _read_cache_limit() -> int:
         ) from None
 
 
-def _mmap_enabled() -> bool:
-    """Whether series arrays may be memory-mapped (``REPRO_STORE_MMAP``)."""
-    mode = os.environ.get("REPRO_STORE_MMAP", "auto")
-    if mode not in ("auto", "off"):
-        raise ValueError(
-            f"REPRO_STORE_MMAP must be 'auto' or 'off', got {mode!r}"
-        )
-    return mode == "auto"
-
-
 def read_cache_stats() -> dict:
     """Per-process read-cache counters.
 
@@ -414,13 +404,9 @@ class ResultStore:
                 return None
             arrays: dict[str, np.ndarray] | None = None
             series = self.entry_dir(key) / _SERIES
-            # Resolve config outside the load guard: a REPRO_STORE_MMAP
-            # typo must raise, not retire a perfectly good entry.
-            use_mmap = _mmap_enabled()
             if series.is_file():
                 try:
-                    if use_mmap:
-                        arrays = _load_series_mmap(series)
+                    arrays = _load_series_mmap(series)
                     if arrays is not None:
                         # Materialize the mapped pages into process
                         # memory: results are stable snapshots — a later

@@ -28,7 +28,7 @@ grid-bucket pair-pruning index (:mod:`repro.geometry.pairindex`): at
 scale the O(n_a * n_b) candidate product is pruned to near-linear before
 the exact arithmetic runs, with output ordering guaranteed bit-identical
 to the historical broadcast (which survives as the ``bruteforce``
-cross-check path, selected via ``REPRO_PAIR_INDEX``).
+oracle path, selected via ``REPRO_PAIR_INDEX``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .pairindex import (
     _record_exact,
     candidate_pairs,
     pair_index_mode,
-    pair_reuse_mode,
 )
 from .raster import NO_OWNER, boxes_from_labels, paint_box
 
@@ -117,7 +116,7 @@ def pair_intersections(
     Pairs are emitted in ``ai``-major, ``bj``-minor order on every
     candidate path (persistent index, per-query index, or brute force),
     so downstream consumers are bit-identical across ``REPRO_PAIR_INDEX``
-    and ``REPRO_PAIR_REUSE`` modes.
+    modes.
     """
     ndim = a.shape[1] // 2
     cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
@@ -204,8 +203,6 @@ def _index_usable(
     b_index: PairIndex | None,
 ) -> bool:
     """Whether a persistent index actually covers one operand here."""
-    if pair_reuse_mode() != "auto":
-        return False
     if b_index is not None and b_index.indexes(b):
         return True
     return a_index is not None and a_index.indexes(a)
@@ -381,12 +378,12 @@ def _subtract_groups(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``rows[g] \\ holes[offsets[g]:offsets[g+1]]`` for all groups.
 
-    The per-step overlay/subtract kernels historically looped over every
-    touched base box with Python :class:`Box` objects; this runs the same
-    dimension-sweep decomposition for *all* groups at once, one vectorized
-    pass per hole position.  Bit-identical by construction: fragments are
-    emitted in exactly the sequential sweep's order (below/above per axis,
-    parent-major), so callers see the same corner rows in the same order.
+    Runs the sequential :meth:`Box.subtract` dimension-sweep
+    decomposition for *all* groups at once, one vectorized pass per hole
+    position.  Bit-identical by construction: fragments are emitted in
+    exactly the sequential sweep's order (below/above per axis,
+    parent-major), so callers see the same corner rows in the same order
+    as the per-box oracle in ``tests/oracles.py``.
 
     Returns ``(fragment_rows, group_ids)`` with groups in ascending order.
     """
@@ -466,7 +463,6 @@ def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
     (one vectorized candidate pass), so sparse overlap stays cheap even
     for large operands.
     """
-    ndim = base.shape[1] // 2
     if base.shape[0] == 0 or holes.shape[0] == 0:
         return base.copy()
     _, bi, hj = pair_intersections(base, holes)
@@ -477,29 +473,12 @@ def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
     order = np.argsort(bi, kind="stable")
     bi, hj = bi[order], hj[order]
     starts = np.flatnonzero(np.diff(bi, prepend=-1))
-    if pair_reuse_mode() == "auto":
-        frags, _ = _subtract_groups(
-            base[bi[starts]], holes[hj], np.append(starts, bi.size)
-        )
-        if frags.shape[0]:
-            out.append(frags)
-        return (
-            np.concatenate(out) if out else np.empty((0, 2 * ndim), np.int64)
-        )
-    for s, e in zip(starts, np.append(starts[1:], bi.size)):
-        row = base[bi[s]]
-        frags = [Box(tuple(row[:ndim]), tuple(row[ndim:]))]
-        for hole_row in holes[hj[s:e]]:
-            hole = Box(tuple(hole_row[:ndim]), tuple(hole_row[ndim:]))
-            nxt: list[Box] = []
-            for frag in frags:
-                nxt.extend(frag.subtract(hole))
-            frags = nxt
-            if not frags:
-                break
-        if frags:
-            out.append(box_corners(frags, ndim))
-    return np.concatenate(out) if out else np.empty((0, 2 * ndim), np.int64)
+    frags, _ = _subtract_groups(
+        base[bi[starts]], holes[hj], np.append(starts, bi.size)
+    )
+    if frags.shape[0]:
+        out.append(frags)
+    return np.concatenate(out)
 
 
 def overlay_corners(
@@ -515,7 +494,6 @@ def overlay_corners(
     Returns corner rows and ranks of the union region: every ``top`` box
     verbatim plus the fragments of ``bottom`` boxes outside ``top``.
     """
-    ndim = top.shape[1] // 2
     if bottom.shape[0] == 0:
         return top.copy(), top_ranks.copy()
     if top.shape[0] == 0:
@@ -531,23 +509,13 @@ def overlay_corners(
         order = np.argsort(bi, kind="stable")
         bi, tj = bi[order], tj[order]
         starts = np.flatnonzero(np.diff(bi, prepend=-1))
-        if pair_reuse_mode() == "auto":
-            # Batched path: one vectorized sweep fragments every covered
-            # bottom box at once (bit-identical to the per-box loop).
-            frags, fgid = _subtract_groups(
-                bottom[bi[starts]], top[tj], np.append(starts, bi.size)
-            )
-            if frags.shape[0]:
-                out_c.append(frags)
-                out_r.append(bottom_ranks[bi[starts]][fgid])
-            return np.concatenate(out_c), np.concatenate(out_r)
-        for s, e in zip(starts, np.append(starts[1:], bi.size)):
-            frags = subtract_corners(bottom[bi[s]][None, :], top[tj[s:e]])
-            if frags.shape[0]:
-                out_c.append(frags)
-                out_r.append(
-                    np.full(frags.shape[0], bottom_ranks[bi[s]], np.int32)
-                )
+        # One vectorized sweep fragments every covered bottom box at once.
+        frags, fgid = _subtract_groups(
+            bottom[bi[starts]], top[tj], np.append(starts, bi.size)
+        )
+        if frags.shape[0]:
+            out_c.append(frags)
+            out_r.append(bottom_ranks[bi[starts]][fgid])
     return np.concatenate(out_c), np.concatenate(out_r)
 
 
@@ -748,16 +716,11 @@ class OwnerMap:
         Built on first request and cached for the life of the map, so
         every kernel query within a ``measure_step`` shares one index
         per level instead of rebuilding per query.  Returns ``None``
-        when the reuse layer is off (``REPRO_PAIR_REUSE=off``), brute
-        force is forced, or the map is too small to benefit — callers
-        just thread the result through; ``None`` falls back to the
-        per-query candidate path.
+        when brute force is forced or the map is too small to benefit —
+        callers just thread the result through; ``None`` falls back to
+        the per-query candidate path.
         """
-        if (
-            self.nboxes < 2
-            or pair_reuse_mode() != "auto"
-            or pair_index_mode() == "bruteforce"
-        ):
+        if self.nboxes < 2 or pair_index_mode() == "bruteforce":
             return None
         if self._pair_index is None or not self._pair_index.indexes(self.corners):
             self._pair_index = PairIndex(self.shape, self.corners)
@@ -770,13 +733,12 @@ class OwnerMap:
         paper's incremental regrids most boxes survive, so the new index
         is a cheap renumber-and-merge instead of a full rebuild.  A
         no-op when either side has nothing to offer (no cached index,
-        shape mismatch, reuse off).
+        shape mismatch, brute force forced).
         """
         if (
             self._pair_index is not None
             or self.nboxes < 2
             or self.shape != prev.shape
-            or pair_reuse_mode() != "auto"
             or pair_index_mode() == "bruteforce"
             or prev._pair_index is None
         ):

@@ -23,14 +23,14 @@ the exact arithmetic runs:
   selected when the grid's cell incidences exceed
   ``_GRID_INCIDENCE_FACTOR`` times the box count.
 * **bruteforce** — the original quadratic kernels, kept verbatim as the
-  cross-check path (``None`` from :func:`candidate_pairs` tells the
+  in-tree pair oracle (``None`` from :func:`candidate_pairs` tells the
   kernel to run its historical broadcast).
 
 Candidates are always deduplicated and returned in brute-force emission
 order (``ai``-major, ``bj``-minor via a sort + dedup on packed pair
 keys), so every downstream kernel produces **bit-identical** outputs on
-every path — asserted by the property suite and by
-``TraceSimulator(cross_check=True)``.
+every path — asserted by the property suite and by the whole-step
+oracle checks in ``tests/oracles.py``.
 
 The active path is selected by the ``REPRO_PAIR_INDEX`` environment
 variable (``auto`` | ``grid`` | ``sweep`` | ``bruteforce``; default
@@ -52,10 +52,9 @@ add/remove diff — falling back to a full rebuild when churn exceeds
 :data:`_DELTA_CHURN_FRACTION` of the boxes.  Candidates from a
 persistent index are a superset of the two-sided candidates and are
 canonicalised through the same :func:`_canonical` packing, so every
-downstream kernel stays **bit-identical** on every path.  The reuse
-layer is switched by ``REPRO_PAIR_REUSE`` (``auto`` | ``off``; default
-``auto``) or :func:`pair_reuse_forced`; ``off`` restores the exact
-per-query index builds of the PR-6 path.
+downstream kernel stays **bit-identical** on every path.  Reuse is not
+switchable: ``bruteforce`` mode never builds an index, so the
+grid-vs-bruteforce diff is the reuse layer's bit-identity check.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from ..registry import declare_kind, register
 
 __all__ = [
     "PAIR_INDEX_MODES",
-    "PAIR_REUSE_MODES",
     "PairIndex",
     "PairKernelCounters",
     "candidate_pairs",
@@ -78,16 +76,11 @@ __all__ = [
     "pair_index_counters",
     "pair_index_forced",
     "pair_index_mode",
-    "pair_reuse_forced",
-    "pair_reuse_mode",
     "reset_pair_index_counters",
 ]
 
 #: Recognized values of ``REPRO_PAIR_INDEX``.
 PAIR_INDEX_MODES = ("auto", "grid", "sweep", "bruteforce")
-
-#: Recognized values of ``REPRO_PAIR_REUSE``.
-PAIR_REUSE_MODES = ("auto", "off")
 
 #: ``auto`` runs the historical broadcast below this pair product — for
 #: tiny inputs the quadratic kernel beats the index's setup cost.
@@ -110,9 +103,6 @@ _DELTA_CHURN_FRACTION = 0.5
 #: In-process override installed by :func:`pair_index_forced`.
 _FORCED_MODE: str | None = None
 
-#: In-process override installed by :func:`pair_reuse_forced`.
-_FORCED_REUSE: str | None = None
-
 
 def pair_index_mode() -> str:
     """The active candidate-generation mode.
@@ -133,8 +123,8 @@ def pair_index_mode() -> str:
 def pair_index_forced(mode: str):
     """Force one candidate mode for the dynamic extent of the block.
 
-    The simulator's ``cross_check`` and the property suite use this to
-    replay the same query on two paths and assert bit-identical output.
+    The property suite and the test oracles use this to replay the same
+    query on two paths and assert bit-identical output.
     """
     global _FORCED_MODE
     if mode not in PAIR_INDEX_MODES:
@@ -147,43 +137,6 @@ def pair_index_forced(mode: str):
         yield
     finally:
         _FORCED_MODE = previous
-
-
-def pair_reuse_mode() -> str:
-    """The active index-reuse mode (``auto`` | ``off``).
-
-    ``auto`` lets kernels serve candidates from a persistent
-    :class:`PairIndex` when the caller threads one through; ``off``
-    restores the per-query index builds of the PR-6 path exactly.
-    :func:`pair_reuse_forced` overrides take precedence over the
-    ``REPRO_PAIR_REUSE`` environment variable (read per call).
-    """
-    mode = _FORCED_REUSE or os.environ.get("REPRO_PAIR_REUSE", "auto")
-    if mode not in PAIR_REUSE_MODES:
-        raise ValueError(
-            f"REPRO_PAIR_REUSE must be one of {PAIR_REUSE_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-@contextmanager
-def pair_reuse_forced(mode: str):
-    """Force one reuse mode for the dynamic extent of the block.
-
-    CI and the property suite replay the same sweep with reuse on and
-    off and diff the store hashes — bit-identity is the invariant.
-    """
-    global _FORCED_REUSE
-    if mode not in PAIR_REUSE_MODES:
-        raise ValueError(
-            f"pair-reuse mode must be one of {PAIR_REUSE_MODES}, got {mode!r}"
-        )
-    previous = _FORCED_REUSE
-    _FORCED_REUSE = mode
-    try:
-        yield
-    finally:
-        _FORCED_REUSE = previous
 
 
 @dataclass
@@ -277,10 +230,12 @@ def pair_counters_scope():
     try:
         yield frame
     finally:
-        try:
-            _COUNTER_STACK.remove(frame)
-        except ValueError:  # pragma: no cover - double-exit guard
-            pass
+        # By identity: ``list.remove`` compares dataclass *values*, so an
+        # all-zero frame would match (and evict) the global frame 0.
+        for i, live in enumerate(_COUNTER_STACK):
+            if live is frame:
+                del _COUNTER_STACK[i]
+                break
 
 
 def _record(**deltas: int) -> None:
@@ -325,8 +280,8 @@ def candidate_pairs(
     pairs, not just overlapping ones.
 
     ``a_index`` / ``b_index`` are optional persistent :class:`PairIndex`
-    objects over ``a`` / ``b``.  When the reuse layer is on and an index
-    actually covers its operand (identity-checked), candidates come from
+    objects over ``a`` / ``b``.  When an index actually covers its
+    operand (identity-checked), candidates come from
     one one-sided probe instead of a fresh two-sided build; the result
     goes through the same canonicalisation, so outputs are bit-identical
     either way.
@@ -347,17 +302,16 @@ def candidate_pairs(
         # thousands of per-box subtraction queries the overlay kernels
         # issue cheap even when an indexed mode is forced.
         return _single_candidates(a, b, closed)
-    if pair_reuse_mode() == "auto":
-        if b_index is not None and b_index.indexes(b):
-            hit = b_index.query(a, closed)
-            if hit is not None:
-                qi, xj = hit
-                return _canonical(qi, xj, n_b)
-        if a_index is not None and a_index.indexes(a):
-            hit = a_index.query(b, closed)
-            if hit is not None:
-                qj, xi = hit
-                return _canonical(xi, qj, n_b)
+    if b_index is not None and b_index.indexes(b):
+        hit = b_index.query(a, closed)
+        if hit is not None:
+            qi, xj = hit
+            return _canonical(qi, xj, n_b)
+    if a_index is not None and a_index.indexes(a):
+        hit = a_index.query(b, closed)
+        if hit is not None:
+            qj, xi = hit
+            return _canonical(xi, qj, n_b)
     if mode == "sweep":
         return _sweep_candidates(a, b, closed)
     return _grid_candidates(a, b, closed)
@@ -897,29 +851,3 @@ def _register_modes() -> None:
 
 _register_modes()
 
-
-declare_kind("pair-reuse", "pair-index reuse mode")
-
-
-def _register_reuse_modes() -> None:
-    docs = {
-        "auto": (
-            "persistent per-level PairIndex shared by all kernel queries in "
-            "a step and delta-updated between steps (the default; falls back "
-            f"to a full rebuild above {_DELTA_CHURN_FRACTION:.0%} box churn)"
-        ),
-        "off": (
-            "rebuild indexes per query — the exact PR-6 hot path, kept as "
-            "the bit-identity reference"
-        ),
-    }
-    for name, description in docs.items():
-        register(
-            "pair-reuse",
-            name,
-            (lambda mode: lambda: pair_reuse_forced(mode))(name),
-            description=description,
-        )
-
-
-_register_reuse_modes()

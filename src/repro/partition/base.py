@@ -9,9 +9,9 @@ arrays, so simulator cost scales with patch counts rather than with the
 volume of the finest index space.
 
 Dense per-level owner rasters — the original representation — remain
-available through :meth:`PartitionResult.rasters` (and the deprecated
-:attr:`PartitionResult.owners` shim, which rasterizes lazily); they are
-kept as a cross-check path and for visualization, not for the hot path.
+available through :meth:`PartitionResult.rasters`, which rasterizes
+lazily; they serve the test oracles and visualization, never the hot
+path.
 
 The P of the paper's PAC-triple is a :class:`Partitioner` instance; its
 parameters are what the meta-partitioner tunes at run time.
@@ -20,7 +20,6 @@ parameters are what the meta-partitioner tunes at run time.
 from __future__ import annotations
 
 import abc
-import warnings
 
 import numpy as np
 
@@ -49,45 +48,28 @@ class PartitionResult:
     partition_seconds :
         Modeled cost of computing this distribution (consumed by the
         dimension-II speed-vs-quality trade-off).
-    owners :
-        .. deprecated:: 0.5
-            Legacy constructor input: dense int32 per-level owner rasters
-            (``NO_OWNER`` outside the refined region).  Converted to owner
-            maps on construction; pass ``maps`` instead.
     """
 
     __slots__ = ("maps", "nprocs", "partition_seconds", "_rasters")
 
     def __init__(
         self,
-        maps: tuple[OwnerMap, ...] | None = None,
+        maps: tuple[OwnerMap, ...],
         nprocs: int = 1,
         partition_seconds: float = 0.0,
-        *,
-        owners: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if (maps is None) == (owners is None):
-            raise ValueError("pass exactly one of maps= or owners=")
-        rasters: tuple[np.ndarray, ...] | None = None
-        if owners is not None:
-            rasters = tuple(owners)
-            for raster in rasters:
-                if raster.dtype != np.int32:
-                    raise ValueError("owner rasters must be int32")
-            maps = tuple(OwnerMap.from_raster(r) for r in rasters)
-        else:
-            maps = tuple(maps)  # type: ignore[arg-type]
-            for m in maps:
-                if not isinstance(m, OwnerMap):
-                    raise TypeError(
-                        f"maps must contain OwnerMap instances, got {type(m)!r}"
-                    )
+        maps = tuple(maps)
+        for m in maps:
+            if not isinstance(m, OwnerMap):
+                raise TypeError(
+                    f"maps must contain OwnerMap instances, got {type(m)!r}"
+                )
         self.maps = maps
         self.nprocs = int(nprocs)
         self.partition_seconds = float(partition_seconds)
-        self._rasters = rasters
+        self._rasters: tuple[np.ndarray, ...] | None = None
 
     @property
     def nlevels(self) -> int:
@@ -98,26 +80,13 @@ class PartitionResult:
     def rasters(self) -> tuple[np.ndarray, ...]:
         """Dense int32 owner rasters of every level (computed lazily).
 
-        The raster view is the cross-check representation: it can be
-        orders of magnitude larger than the owner maps (it scales with the
-        index-space volume), so the simulator never touches it.  Results
-        constructed from legacy rasters return the original arrays.
+        The raster view is the oracle representation: it can be orders
+        of magnitude larger than the owner maps (it scales with the
+        index-space volume), so the simulator never touches it.
         """
         if self._rasters is None:
             self._rasters = tuple(m.rasterize() for m in self.maps)
         return self._rasters
-
-    @property
-    def owners(self) -> tuple[np.ndarray, ...]:
-        """Deprecated dense view; use :attr:`maps` or :meth:`rasters`."""
-        warnings.warn(
-            "PartitionResult.owners is deprecated: distributions are sparse "
-            "OwnerMaps now; use .maps for the sparse form or .rasters() for "
-            "an explicit dense conversion",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.rasters()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cells = sum(m.ncells for m in self.maps)

@@ -1,0 +1,245 @@
+"""Reference implementations the production kernels are checked against.
+
+``src/`` computes every simulator quantity on one path: sparse
+:class:`~repro.geometry.OwnerMap` box calculus through the pair index.
+The straightforward versions that path replaced live here, as oracles:
+
+* dense-raster reductions (int32 owner rasters, ``NO_OWNER`` outside
+  the refined region) for ghost faces, message pairs, per-rank
+  communication, inter-level transfer and migration;
+* the sequential :meth:`~repro.geometry.Box.subtract` sweep behind
+  :func:`~repro.geometry.subtract_corners` and
+  :func:`~repro.geometry.overlay_corners`;
+* :func:`check_step`, the whole-step check: one simulator step must
+  agree bit-identically with the same step under the ``bruteforce``
+  pair oracle and with the dense reductions.
+
+They materialize full-level rasters or loop over Python boxes, so use
+them only at test scales.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from repro.geometry import (
+    NO_OWNER,
+    Box,
+    OwnerMap,
+    box_corners,
+    pair_index_forced,
+    upsample,
+)
+from repro.partition import PartitionResult
+from repro.simulator import (
+    ghost_face_stats,
+    interlevel_transfer_cells as sparse_interlevel,
+    migration_cells as sparse_migration,
+)
+
+# ---------------------------------------------------------------------------
+# dense-raster reductions
+
+
+def _cut_faces(raster: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Owner pairs ``(a, b)`` of every cell face between two ranks, per axis."""
+    for axis in range(raster.ndim):
+        a = np.moveaxis(raster, axis, 0)[:-1]
+        b = np.moveaxis(raster, axis, 0)[1:]
+        faces = (a != NO_OWNER) & (b != NO_OWNER) & (a != b)
+        yield a[faces], b[faces]
+
+
+def dense_ghost_exchange_cells(raster: np.ndarray, ghost_width: int = 1) -> int:
+    """Cells exchanged per local step across the rank boundaries of a raster."""
+    return 2 * ghost_width * sum(a.size for a, _ in _cut_faces(raster))
+
+
+def dense_ghost_message_pairs(raster: np.ndarray) -> int:
+    """Distinct communicating rank pairs of a raster, both directions."""
+    packed = [
+        (np.minimum(a, b).astype(np.int64) << np.int64(32))
+        | np.maximum(a, b).astype(np.int64)
+        for a, b in _cut_faces(raster)
+    ]
+    return 2 * int(np.unique(np.concatenate(packed)).size)
+
+
+def dense_per_rank_comm_cells(
+    raster: np.ndarray, nprocs: int, ghost_width: int = 1
+) -> np.ndarray:
+    """Ghost cells sent+received per rank per local step of a raster."""
+    counts = np.zeros(nprocs, dtype=np.int64)
+    for a, b in _cut_faces(raster):
+        counts += np.bincount(a, minlength=nprocs)
+        counts += np.bincount(b, minlength=nprocs)
+    return counts * ghost_width
+
+
+def dense_interlevel_transfer_cells(
+    coarse: np.ndarray, fine: np.ndarray, ratio: int
+) -> int:
+    """Fine cells whose parent coarse cell has a different owner."""
+    parent = upsample(coarse, ratio)
+    mask = (fine != NO_OWNER) & (parent != NO_OWNER) & (fine != parent)
+    return int(mask.sum())
+
+
+def dense_migration_cells(
+    prev_rasters: tuple[np.ndarray, ...], cur_rasters: tuple[np.ndarray, ...]
+) -> int:
+    """Migrated cells between two distributions given as level rasters.
+
+    A cell's data source is its previous owner where its level existed,
+    else the source of its refined ancestor (level 0 always exists).
+    """
+    total = 0
+    source: np.ndarray | None = None
+    for l, owners in enumerate(cur_rasters):
+        if source is None:
+            src = prev_rasters[0]
+        else:
+            src = upsample(source, owners.shape[0] // source.shape[0])
+        if l < len(prev_rasters):
+            src = np.where(prev_rasters[l] != NO_OWNER, prev_rasters[l], src)
+        total += int(((owners != NO_OWNER) & (src != owners)).sum())
+        source = src
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the sequential Box.subtract sweep
+
+
+def _box(row: np.ndarray) -> Box:
+    ndim = row.size // 2
+    return Box(tuple(row[:ndim]), tuple(row[ndim:]))
+
+
+def _touching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(n_a, n_b)`` mask of intersecting corner-row pairs (brute force)."""
+    ndim = a.shape[1] // 2
+    lo = np.maximum(a[:, None, :ndim], b[None, :, :ndim])
+    hi = np.minimum(a[:, None, ndim:], b[None, :, ndim:])
+    return (hi > lo).all(axis=2)
+
+
+def sequential_subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """Reference :func:`~repro.geometry.subtract_corners`: untouched rows
+    first, then each touched row cut by its holes one :class:`Box` at a time.
+    """
+    ndim = base.shape[1] // 2
+    if base.shape[0] == 0 or holes.shape[0] == 0:
+        return base.copy()
+    touch = _touching(base, holes)
+    out = [base[~touch.any(axis=1)]]
+    for i in np.flatnonzero(touch.any(axis=1)):
+        frags = [_box(base[i])]
+        for hole in holes[touch[i]]:
+            frags = [p for frag in frags for p in frag.subtract(_box(hole))]
+        if frags:
+            out.append(box_corners(frags, ndim))
+    return np.concatenate(out)
+
+
+def sequential_overlay_corners(
+    top: np.ndarray,
+    top_ranks: np.ndarray,
+    bottom: np.ndarray,
+    bottom_ranks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference :func:`~repro.geometry.overlay_corners`, one bottom box at
+    a time."""
+    if bottom.shape[0] == 0:
+        return top.copy(), top_ranks.copy()
+    if top.shape[0] == 0:
+        return bottom.copy(), bottom_ranks.copy()
+    touch = _touching(bottom, top)
+    clear = ~touch.any(axis=1)
+    out_c = [top, bottom[clear]]
+    out_r = [top_ranks, bottom_ranks[clear]]
+    for i in np.flatnonzero(~clear):
+        frags = sequential_subtract_corners(bottom[i][None, :], top[touch[i]])
+        out_c.append(frags)
+        out_r.append(np.full(frags.shape[0], bottom_ranks[i], np.int32))
+    return np.concatenate(out_c), np.concatenate(out_r)
+
+
+# ---------------------------------------------------------------------------
+# the whole-step check
+
+
+def _sparse_terms(ghost_width, hierarchy, result, previous) -> tuple:
+    """``(comm, messages, interlevel, migrated)`` on the production path."""
+    comm, messages = 0, 0.0
+    for level in hierarchy:
+        w = level.time_refinement_weight()
+        faces, pairs = ghost_face_stats(result.maps[level.index])
+        comm += 2 * ghost_width * faces * w
+        messages += 2 * pairs * w
+    inter = sum(
+        sparse_interlevel(
+            result.maps[level.index - 1], result.maps[level.index], level.ratio
+        )
+        * level.time_refinement_weight()
+        for level in hierarchy.levels[1:]
+    )
+    migrated = sparse_migration(previous, result) if previous is not None else 0
+    return comm, messages, inter, migrated
+
+
+def _dense_terms(ghost_width, hierarchy, result, previous) -> tuple:
+    """The same four quantities from the dense-raster reductions."""
+    rasters = result.rasters()
+    comm, messages = 0, 0.0
+    for level in hierarchy:
+        w = level.time_refinement_weight()
+        raster = rasters[level.index]
+        comm += dense_ghost_exchange_cells(raster, ghost_width) * w
+        messages += dense_ghost_message_pairs(raster) * w
+    inter = sum(
+        dense_interlevel_transfer_cells(
+            rasters[level.index - 1], rasters[level.index], level.ratio
+        )
+        * level.time_refinement_weight()
+        for level in hierarchy.levels[1:]
+    )
+    migrated = (
+        dense_migration_cells(previous.rasters(), rasters)
+        if previous is not None
+        else 0
+    )
+    return comm, messages, inter, migrated
+
+
+def check_step(sim, hierarchy, result, previous, prev_hierarchy):
+    """Measure one step and assert it against both oracles.
+
+    The step must be bit-identical under the ``bruteforce`` pair oracle,
+    and its communication, message, inter-level and migration terms must
+    equal the dense-raster reductions.  Returns the measured
+    :class:`~repro.simulator.StepMetrics`.
+    """
+    step = sim.measure_step(hierarchy, result, previous, prev_hierarchy)
+    indexed = _sparse_terms(sim.ghost_width, hierarchy, result, previous)
+    assert (step.comm_cells, step.interlevel_cells, step.migration_cells) == (
+        indexed[0], indexed[2], indexed[3]
+    )
+    with pair_index_forced("bruteforce"):
+        brute_step = sim.measure_step(hierarchy, result, previous, prev_hierarchy)
+        brute = _sparse_terms(sim.ghost_width, hierarchy, result, previous)
+    assert brute_step == step, "pair-index/bruteforce step mismatch"
+    assert brute == indexed, f"pair-index/bruteforce mismatch: {indexed} != {brute}"
+    dense = _dense_terms(sim.ghost_width, hierarchy, result, previous)
+    assert dense == indexed, f"sparse/dense mismatch: {indexed} != {dense}"
+    return step
+
+
+def result_from_rasters(rasters, nprocs: int):
+    """A :class:`~repro.partition.PartitionResult` over dense level rasters."""
+    return PartitionResult(
+        maps=tuple(OwnerMap.from_raster(np.asarray(r, np.int32)) for r in rasters),
+        nprocs=nprocs,
+    )

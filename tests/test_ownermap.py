@@ -1,8 +1,8 @@
 """Property tests: sparse owner-map calculus == dense raster reductions.
 
 The sparse :class:`~repro.geometry.OwnerMap` path is the production
-representation; the dense rasters are kept as the cross-check.  These
-tests drive both against each other on random N-D inputs (random owner
+representation; the dense-raster oracles live in ``tests/oracles.py``.
+These tests drive both against each other on random N-D inputs (random owner
 rasters, random disjoint box assignments, and random properly-nested
 hierarchies built from the shared ``boxes_nd`` strategies) and assert
 exact agreement, plus the representation laws the refactor ships under:
@@ -34,7 +34,6 @@ from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
     DomainSfcPartitioner,
     NaturePlusFable,
-    PartitionResult,
     PatchBasedPartitioner,
     StickyRepartitioner,
     proc_loads,
@@ -45,10 +44,18 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    migration_cells_dense,
     per_rank_comm_cells,
 )
 
+from tests.oracles import (
+    check_step,
+    dense_ghost_exchange_cells,
+    dense_ghost_message_pairs,
+    dense_interlevel_transfer_cells,
+    dense_migration_cells,
+    dense_per_rank_comm_cells,
+    result_from_rasters,
+)
 from tests.strategies import disjoint_boxlists
 
 
@@ -146,10 +153,10 @@ class TestMetricsAgree:
     def test_ghost_metrics(self, ndim, side, data):
         raster = data.draw(owner_rasters(ndim, side))
         m = OwnerMap.from_raster(raster)
-        assert ghost_exchange_cells(m, 2) == ghost_exchange_cells(raster, 2)
-        assert ghost_message_pairs(m) == ghost_message_pairs(raster)
+        assert ghost_exchange_cells(m, 2) == dense_ghost_exchange_cells(raster, 2)
+        assert ghost_message_pairs(m) == dense_ghost_message_pairs(raster)
         np.testing.assert_array_equal(
-            per_rank_comm_cells(m, 4), per_rank_comm_cells(raster, 4)
+            per_rank_comm_cells(m, 4), dense_per_rank_comm_cells(raster, 4)
         )
 
     @settings(max_examples=25, deadline=None)
@@ -159,7 +166,7 @@ class TestMetricsAgree:
         fine = data.draw(owner_rasters(ndim, side * 2))
         assert interlevel_transfer_cells(
             OwnerMap.from_raster(coarse), OwnerMap.from_raster(fine), 2
-        ) == interlevel_transfer_cells(coarse, fine, 2)
+        ) == dense_interlevel_transfer_cells(coarse, fine, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -172,9 +179,9 @@ class TestMetricsAgree:
             data.draw(owner_rasters(ndim, side)),
             data.draw(owner_rasters(ndim, side * 2)),
         )
-        prev = PartitionResult(owners=prev_rasters, nprocs=4)
-        cur = PartitionResult(owners=cur_rasters, nprocs=4)
-        assert migration_cells(prev, cur) == migration_cells_dense(
+        prev = result_from_rasters(prev_rasters, 4)
+        cur = result_from_rasters(cur_rasters, 4)
+        assert migration_cells(prev, cur) == dense_migration_cells(
             prev_rasters, cur_rasters
         )
 
@@ -324,8 +331,8 @@ PARTITIONERS = [
 @pytest.mark.parametrize("ndim", [2, 3])
 class TestHierarchyMetricsAgree:
     """End-to-end: every simulator metric, sparse vs dense, on random
-    N-D hierarchies under every partitioner family (the simulator's
-    ``cross_check`` mode recomputes each step on rasters and asserts)."""
+    N-D hierarchies under every partitioner family (``check_step``
+    recomputes each step under bruteforce and on rasters and asserts)."""
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -334,12 +341,12 @@ class TestHierarchyMetricsAgree:
         prev_h = data.draw(nested_hierarchies(ndim))
         if prev_h.domain != hierarchy.domain:
             prev_h = hierarchy
-        sim = TraceSimulator(cross_check=True)
+        sim = TraceSimulator()
         for part in PARTITIONERS:
             previous = part.partition(prev_h, 3)
             result = part.partition(hierarchy, 3, previous)
             result.validate(hierarchy)
-            sim.measure_step(hierarchy, result, previous, prev_h)
+            check_step(sim, hierarchy, result, previous, prev_h)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

@@ -11,9 +11,9 @@ no-op diffs) through :meth:`PairIndex.updated_to` and checks that
 invariant against a brute-force reference.
 
 The simulator-facing tests assert the layer actually engages on a paper
-trace (``index_reuses``/``delta_updates`` counters move), that
-``REPRO_PAIR_REUSE=off`` restores the per-query path, and that both
-modes produce identical step metrics with the dense cross-check on.
+trace (``index_reuses``/``delta_updates`` counters move) and that every
+step matches the ``bruteforce`` pair oracle, which never builds an
+index, and the dense-raster oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,12 +27,23 @@ from repro.engine.components import create
 from repro.experiments import paper_trace
 from repro.geometry import (
     PairIndex,
+    box_corners,
+    overlay_corners,
     pair_counters_scope,
+    pair_index_counters,
     pair_index_forced,
-    pair_reuse_forced,
-    pair_reuse_mode,
+    pair_intersections,
+    reset_pair_index_counters,
+    subtract_corners,
 )
 from repro.simulator import TraceSimulator
+
+from tests.oracles import (
+    check_step,
+    sequential_overlay_corners,
+    sequential_subtract_corners,
+)
+from tests.strategies import disjoint_boxlists
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -253,59 +264,35 @@ def test_chained_delta_updates_stay_correct():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_batched_subtract_matches_sequential_sweep(ndim, data):
-    """Reuse-on overlay/subtract is bit-identical to the per-box loop.
+    """Batched overlay/subtract is bit-identical to the per-box loop.
 
     Not just the same region: the batched engine must emit the *same
     fragment rows in the same order*, because partitioners consume the
     overlay output structurally.
     """
-    from repro.geometry import overlay_corners, subtract_corners
-    from strategies import disjoint_boxlists
-
     top_boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim))
     bottom_boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim))
-    from repro.geometry import box_corners
-
     top = box_corners(top_boxes, ndim)
     bottom = box_corners(bottom_boxes, ndim)
     top_ranks = np.arange(top.shape[0], dtype=np.int32) % 3
     bottom_ranks = np.arange(bottom.shape[0], dtype=np.int32) % 3
-    with pair_reuse_forced("auto"):
-        c_auto, r_auto = overlay_corners(top, top_ranks, bottom, bottom_ranks)
-        s_auto = subtract_corners(bottom, top)
-    with pair_reuse_forced("off"):
-        c_off, r_off = overlay_corners(top, top_ranks, bottom, bottom_ranks)
-        s_off = subtract_corners(bottom, top)
-    np.testing.assert_array_equal(c_auto, c_off)
-    np.testing.assert_array_equal(r_auto, r_off)
-    assert r_auto.dtype == r_off.dtype
-    np.testing.assert_array_equal(s_auto, s_off)
+    c_got, r_got = overlay_corners(top, top_ranks, bottom, bottom_ranks)
+    c_want, r_want = sequential_overlay_corners(
+        top, top_ranks, bottom, bottom_ranks
+    )
+    np.testing.assert_array_equal(c_got, c_want)
+    np.testing.assert_array_equal(r_got, r_want)
+    assert r_got.dtype == r_want.dtype
+    np.testing.assert_array_equal(
+        subtract_corners(bottom, top), sequential_subtract_corners(bottom, top)
+    )
 
 
 # ---------------------------------------------------------------------------
-# reuse-mode plumbing
+# plumbing
 
 
-def test_reuse_mode_forced_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PAIR_REUSE", raising=False)
-    assert pair_reuse_mode() == "auto"
-    monkeypatch.setenv("REPRO_PAIR_REUSE", "off")
-    assert pair_reuse_mode() == "off"
-    with pair_reuse_forced("auto"):
-        assert pair_reuse_mode() == "auto"
-    assert pair_reuse_mode() == "off"
-    monkeypatch.setenv("REPRO_PAIR_REUSE", "bogus")
-    with pytest.raises(ValueError):
-        pair_reuse_mode()
-
-
-def test_reuse_registry_kind():
-    from repro.registry import registry
-
-    assert sorted(registry("pair-reuse")) == ["auto", "off"]
-
-
-def test_owner_map_pair_index_respects_reuse_mode(simple_hierarchy):
+def test_owner_map_pair_index_is_cached():
     from repro.geometry import OwnerMap
 
     corners = np.asarray(
@@ -313,13 +300,29 @@ def test_owner_map_pair_index_respects_reuse_mode(simple_hierarchy):
     )
     ranks = np.asarray([0, 1, 2], dtype=np.int32)
     m = OwnerMap((16, 16), corners, ranks)
+    with pair_index_forced("bruteforce"):
+        assert m.pair_index() is None
     with pair_index_forced("grid"):
-        with pair_reuse_forced("off"):
-            assert m.pair_index() is None
-        with pair_reuse_forced("auto"):
-            index = m.pair_index()
-            assert index is not None and index.indexes(m.corners)
-            assert m.pair_index() is index  # cached
+        index = m.pair_index()
+        assert index is not None and index.indexes(m.corners)
+        assert m.pair_index() is index  # cached
+
+
+def test_nested_empty_scopes_keep_the_global_frame():
+    """Leaving a scope removes that frame, not an equal-valued one.
+
+    All-zero frames compare equal as dataclasses, so a value-based
+    removal used to evict the global frame and leave the inner scope's
+    frame in its place.
+    """
+    global_frame = reset_pair_index_counters()
+    with pair_counters_scope():
+        with pair_counters_scope():
+            pass
+    assert pair_index_counters() is global_frame
+    a = np.asarray([[0, 0, 2, 2]], dtype=np.int64)
+    pair_intersections(a, a)
+    assert global_frame.queries == 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +339,32 @@ def _small_replay():
 def test_reuse_engages_on_paper_trace(_small_replay):
     trace, part = _small_replay
     sim = TraceSimulator()
-    with pair_index_forced("grid"), pair_reuse_forced("auto"):
+    with pair_index_forced("grid"):
         with pair_counters_scope() as counters:
             result_on = sim.run(trace, part, 8)
     assert counters.index_builds > 0
     assert counters.index_reuses > 0, "persistent indexes never reused"
     assert counters.delta_updates > 0, "no step-to-step delta updates"
-    with pair_index_forced("grid"), pair_reuse_forced("off"):
-        with pair_counters_scope() as off_counters:
-            result_off = sim.run(trace, part, 8)
-    assert off_counters.index_builds == 0
-    assert off_counters.index_reuses == 0
-    assert off_counters.delta_updates == 0
-    assert len(result_on.steps) == len(result_off.steps)
-    for s_on, s_off in zip(result_on.steps, result_off.steps):
-        assert s_on == s_off, "reuse layer changed a step metric"
+    with pair_index_forced("bruteforce"):
+        with pair_counters_scope() as brute_counters:
+            result_brute = sim.run(trace, part, 8)
+    assert brute_counters.index_builds == 0
+    assert brute_counters.index_reuses == 0
+    assert brute_counters.delta_updates == 0
+    assert result_on == result_brute, "reuse layer changed a step metric"
 
 
 def test_cross_check_passes_with_reuse(_small_replay):
+    """Every step of a reuse-on replay matches both oracles."""
     trace, part = _small_replay
-    sim = TraceSimulator(cross_check=True)
-    with pair_index_forced("grid"), pair_reuse_forced("auto"):
-        result = sim.run(trace, part, 8)
-    assert len(result.steps) == len(trace)
+    sim = TraceSimulator()
+    previous = prev_h = None
+    with pair_index_forced("grid"), pair_counters_scope() as counters:
+        for snap in trace:
+            result = part.partition(snap.hierarchy, 8, previous)
+            if previous is not None:
+                for prev_map, cur_map in zip(previous.maps, result.maps):
+                    cur_map.seed_pair_index_from(prev_map)
+            check_step(sim, snap.hierarchy, result, previous, prev_h)
+            previous, prev_h = result, snap.hierarchy
+    assert counters.delta_updates > 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry import NO_OWNER, Box
+from repro.geometry import NO_OWNER, Box, OwnerMap
 from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
     DomainSfcPartitioner,
@@ -85,55 +85,43 @@ def test_on_real_traces(small_traces, part):
 
 
 class TestPartitionResult:
-    def test_owners_shim_warns_and_matches_rasters(self, simple_hierarchy):
-        res = DomainSfcPartitioner().partition(simple_hierarchy, 4)
-        with pytest.warns(DeprecationWarning, match="OwnerMap"):
-            legacy = res.owners
-        for shim, raster in zip(legacy, res.rasters()):
-            np.testing.assert_array_equal(shim, raster)
-
-    def test_legacy_raster_construction_round_trips(self):
+    def test_raster_construction_round_trips(self):
         raster = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=3)
+        res = PartitionResult(maps=(OwnerMap.from_raster(raster),), nprocs=3)
         np.testing.assert_array_equal(res.maps[0].rasterize(), raster)
         np.testing.assert_array_equal(res.rasters()[0], raster)
 
-    def test_maps_and_owners_are_exclusive(self):
+    def test_rejects_dense_rasters_as_maps(self):
         raster = np.zeros((2, 2), dtype=np.int32)
-        from repro.geometry import OwnerMap
+        with pytest.raises(TypeError, match="OwnerMap"):
+            PartitionResult(maps=(raster,), nprocs=1)
 
-        with pytest.raises(ValueError, match="exactly one"):
-            PartitionResult(
-                maps=(OwnerMap.from_raster(raster),), owners=(raster,), nprocs=1
-            )
-        with pytest.raises(ValueError, match="exactly one"):
-            PartitionResult(nprocs=1)
-
-    def test_rejects_wrong_dtype(self):
-        with pytest.raises(ValueError, match="int32"):
-            PartitionResult(
-                owners=(np.zeros((4, 4), dtype=np.int64),), nprocs=2
-            )
+    def test_legacy_owners_surface_is_gone(self, simple_hierarchy):
+        res = DomainSfcPartitioner().partition(simple_hierarchy, 4)
+        assert not hasattr(res, "owners")
+        raster = np.zeros((2, 2), dtype=np.int32)
+        with pytest.raises(TypeError):
+            PartitionResult(owners=(raster,), nprocs=1)
 
     def test_rejects_bad_nprocs(self):
         with pytest.raises(ValueError):
-            PartitionResult(owners=(), nprocs=0)
+            PartitionResult(maps=(), nprocs=0)
 
     def test_validate_detects_unowned(self, flat_hierarchy):
         raster = np.full((16, 16), NO_OWNER, dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = PartitionResult(maps=(OwnerMap.from_raster(raster),), nprocs=2)
         with pytest.raises(ValueError, match="unowned"):
             res.validate(flat_hierarchy)
 
     def test_validate_detects_level_count(self, simple_hierarchy):
         raster = np.zeros((16, 16), dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = PartitionResult(maps=(OwnerMap.from_raster(raster),), nprocs=2)
         with pytest.raises(ValueError, match="rasters for"):
             res.validate(simple_hierarchy)
 
     def test_validate_detects_out_of_range_rank(self, flat_hierarchy):
         raster = np.full((16, 16), 5, dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = PartitionResult(maps=(OwnerMap.from_raster(raster),), nprocs=2)
         with pytest.raises(ValueError, match="outside"):
             res.validate(flat_hierarchy)
 

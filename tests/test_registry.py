@@ -18,9 +18,6 @@ from repro.engine import (
     STATIC_SUITE,
     create,
     describe,
-    make_machine,
-    make_partitioner,
-    make_schedule,
     penalties_spec,
     registry,
     resolve_machine,
@@ -274,29 +271,35 @@ class TestAppRegistration:
             registry_module.load_plugins(reload=True)
 
 
-class TestDeprecationShims:
-    def test_make_partitioner_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_partitioner"):
-            part = make_partitioner("nature+fable")
-        assert isinstance(part, NaturePlusFable)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="schedule"):
-                make_partitioner("meta-partitioner")
+class TestEngineSurface:
+    def test_create_builds_static_partitioners(self):
+        assert isinstance(create("partitioner", "nature+fable"), NaturePlusFable)
+        # Dynamic schedules live under their own kind, not "partitioner".
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            create("partitioner", "meta-partitioner")
 
-    def test_make_schedule_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_schedule"):
-            schedule = make_schedule("armada-octant", MachineModel(), 8)
+    def test_create_builds_schedules(self):
+        schedule = create(
+            "schedule", "armada-octant", machine=MachineModel(), nprocs=8
+        )
         assert schedule is not None
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown schedule"):
-                make_schedule("nope", MachineModel(), 8)
+        with pytest.raises(ValueError, match="unknown schedule"):
+            create("schedule", "nope", machine=MachineModel(), nprocs=8)
 
-    def test_make_machine_accepts_instances_and_names(self):
-        # The old type hint lied about MachineModel instances; the fixed
-        # surface accepts names, override mappings and built models.
+    def test_removed_names_stay_removed(self):
+        import repro.engine as engine
+        import repro.geometry as geometry
+
+        for name in ("make_partitioner", "make_schedule", "make_machine"):
+            assert not hasattr(engine, name), name
+            assert name not in engine.__all__, name
+        for name in ("PAIR_REUSE_MODES", "pair_reuse_mode", "pair_reuse_forced"):
+            assert not hasattr(geometry, name), name
+        with pytest.raises(ValueError, match="unknown component kind"):
+            registry("pair-reuse")
+
+    def test_resolve_machine_accepts_instances_and_names(self):
         model = MachineModel(bandwidth_bytes_per_s=1.0)
-        with pytest.warns(DeprecationWarning, match="make_machine"):
-            assert make_machine(model) is model
         assert resolve_machine(model) is model
         assert resolve_machine("net-starved").bandwidth_bytes_per_s == 5.0e7
         assert (

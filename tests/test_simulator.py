@@ -163,6 +163,16 @@ class TestTraceSimulator:
         assert "nature+fable" in picks and "domain-sfc" in picks
         assert res.partitioner["name"] == "scheduled"
 
+    def test_run_is_run_scheduled_with_a_constant_schedule(self, small_traces):
+        sim = TraceSimulator()
+        part = NaturePlusFable()
+        res = sim.run(small_traces["bl2d"], part, 4)
+        scheduled = sim.run_scheduled(small_traces["bl2d"], lambda *_: part, 4)
+        assert res.steps == scheduled.steps
+        # The static run names its partitioner, not the schedule wrapper.
+        assert res.partitioner == part.describe()
+        assert scheduled.partitioner["name"] == "scheduled"
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             TraceSimulator(ghost_width=-1)

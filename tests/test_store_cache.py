@@ -2,12 +2,14 @@
 
 ``ResultStore.get_result``/``get_trace`` keep a per-process LRU of
 decoded entries (``REPRO_STORE_CACHE``) in front of lazy memory-mapped
-``series.npz`` loads (``REPRO_STORE_MMAP``).  The invariants under test:
+``series.npz`` loads (``np.load`` for members that cannot be mapped).
+The invariants under test:
 
 * a warm read is a cache hit even through a *fresh* store instance
   (the cache is per-process, keyed by root + key);
 * mmap-assisted cold loads are value- and dtype-identical to eagerly
-  loaded ones; returned arrays are materialized stable snapshots, so a
+  loaded ones, and compressed archives fall back to ``np.load``;
+  returned arrays are materialized stable snapshots, so a
   later in-place rewrite of the entry never mutates results already
   handed out;
 * every hit re-validates the entry's stat signature, so on-disk
@@ -61,10 +63,13 @@ def test_warm_read_hits_cache_across_store_instances(tmp_path):
         assert second.arrays[name].dtype == want.dtype
 
 
-def test_mmap_arrays_match_eager_load(tmp_path, monkeypatch):
+def test_mmap_arrays_match_eager_load(tmp_path):
     result = _make_result()
-    ResultStore(tmp_path).put_result(result)
-    monkeypatch.delenv("REPRO_STORE_MMAP", raising=False)
+    store = ResultStore(tmp_path)
+    store.put_result(result)
+    series = store.entry_dir(result.key) / "series.npz"
+    with np.load(series) as npz:
+        eager = {name: npz[name] for name in npz.files}
     mapped = ResultStore(tmp_path).get_result(result.key)
     assert read_cache_stats()["mmap_loads"] == 1, (
         "mmap path never engaged on an uncompressed npz"
@@ -73,16 +78,17 @@ def test_mmap_arrays_match_eager_load(tmp_path, monkeypatch):
     assert not any(
         isinstance(a, np.memmap) for a in mapped.arrays.values()
     )
+    # A compressed archive cannot be mapped: the same read falls back
+    # to np.load and returns the same values.
     clear_read_cache()
-    monkeypatch.setenv("REPRO_STORE_MMAP", "off")
-    eager = ResultStore(tmp_path).get_result(result.key)
+    np.savez_compressed(series, **eager)
+    fallback = ResultStore(tmp_path).get_result(result.key)
     assert read_cache_stats()["mmap_loads"] == 0
     for name in result.arrays:
-        assert not isinstance(eager.arrays[name], np.memmap)
-        np.testing.assert_array_equal(
-            np.asarray(mapped.arrays[name]), eager.arrays[name]
-        )
-        assert mapped.arrays[name].dtype == eager.arrays[name].dtype
+        for got in (mapped.arrays[name], fallback.arrays[name]):
+            assert not isinstance(got, np.memmap)
+            np.testing.assert_array_equal(got, eager[name])
+            assert got.dtype == eager[name].dtype
 
 
 def test_hit_revalidates_against_disk(tmp_path):
@@ -143,10 +149,6 @@ def test_bad_env_values_raise(tmp_path, monkeypatch):
     store.put_result(result)
     clear_read_cache()
     monkeypatch.setenv("REPRO_STORE_CACHE", "many")
-    with pytest.raises(ValueError):
-        store.get_result(result.key)
-    monkeypatch.setenv("REPRO_STORE_CACHE", "64")
-    monkeypatch.setenv("REPRO_STORE_MMAP", "sometimes")
     with pytest.raises(ValueError):
         store.get_result(result.key)
 
