@@ -218,6 +218,20 @@ def _flag_window(
     return _resample(crop, win_shape, reduce="any")
 
 
+def _clip_to_parents(clusters: list[Box], parents: BoxList) -> BoxList:
+    """Clip clusters to the parents (exact nesting), then coalesce.
+
+    Both sets are disjoint — Berger--Rigoutsos bisects, the parents are
+    a finished level — so the pieces are too and need no disjointify.
+    """
+    return BoxList(
+        piece
+        for box in clusters
+        for parent in parents
+        if (piece := box.intersect(parent)) is not None
+    ).coalesced()
+
+
 def build_hierarchy(
     indicator: np.ndarray, config: TraceGenConfig
 ) -> GridHierarchy:
@@ -299,15 +313,7 @@ def build_hierarchy(
         # Berger--Rigoutsos first shrinks to the flag bounding box, so
         # clustering the window and shifting is exact.
         clusters = [b.shift(wlo) for b in cluster_flags(flags, config.cluster)]
-        # Clip against parent patches: guarantees exact nesting even when
-        # clustering swallowed unflagged filler cells outside the parent.
-        clipped: list[Box] = []
-        for box in clusters:
-            for parent in parent_refined:
-                piece = box.intersect(parent)
-                if piece is not None:
-                    clipped.append(piece)
-        patches = BoxList(clipped).disjointified().coalesced()
+        patches = _clip_to_parents(clusters, parent_refined)
         if patches.ncells == 0:
             break
         levels.append(PatchLevel(l, patches, ratio=config.refine_ratio))

@@ -27,15 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ...registry import register
-from ...telemetry import (
-    counter,
-    flight_dump,
-    flight_record,
-    gauge,
-    metric_gauge,
-    metric_inc,
-    telemetry_active,
-)
+from ...telemetry import event, flight_dump, sample
 from ..graph import Plan
 from ..spec import RunSpec
 from ..store import ResultStore
@@ -43,8 +35,6 @@ from .base import ExecutionBackend, Progress, layer_status
 from .queue import JobQueue
 
 __all__ = ["ClusterBackend", "ClusterJobError"]
-
-logger = logging.getLogger("repro.engine.cluster")
 
 
 class ClusterJobError(RuntimeError):
@@ -257,22 +247,19 @@ class ClusterBackend(ExecutionBackend):
         while True:
             now = time.time()
             for lease in queue.expire_leases(self.lease_timeout, now=now):
-                key = lease.get("key")
-                counter(
-                    "queue.lease_expired", depth=depth,
-                    key=str(key)[:12], owner=lease.get("owner"),
+                key = str(lease.get("key"))
+                mine = pending.get(key)
+                message = event(
+                    "queue.lease_expired", level=logging.WARNING,
+                    message=f"lease expired: requeued "
+                    f"{mine.label() if mine else key[:12]} "
+                    f"(worker {lease.get('owner')})",
+                    depth=depth, key=key[:12], owner=lease.get("owner"),
+                    attempt=lease.get("attempt", 0),
                     lease_age_s=now - (lease.get("heartbeat_at") or now),
                 )
-                if key in pending:
-                    label = pending[key].label()
-                    say(
-                        f"lease expired: requeued {label} "
-                        f"(worker {lease.get('owner')})"
-                    )
-                    logger.warning(
-                        "lease expired: requeued %s (worker %s)",
-                        label, lease.get("owner"),
-                    )
+                if mine is not None:
+                    say(message)
                     last_progress = now
             leased = 0
             for key, spec in pending.items():
@@ -280,16 +267,13 @@ class ClusterBackend(ExecutionBackend):
                     continue
                 if store.has(key):
                     done.add(key)
-                    metric_inc("repro_queue_jobs_done_total")
-                    if telemetry_active():
-                        ticket = queue.read_ticket(key)
-                        enqueued_at = (ticket or {}).get("enqueued_at")
-                        counter(
-                            "queue.job_done", depth=depth, key=key[:12],
-                            queue_wall_s=(now - enqueued_at)
-                            if enqueued_at else None,
-                            attempts=(ticket or {}).get("attempt", 0),
-                        )
+                    ticket = queue.read_ticket(key) or {}
+                    enqueued_at = ticket.get("enqueued_at")
+                    event(
+                        "queue.jobs_done", depth=depth, key=key[:12],
+                        queue_wall_s=now - enqueued_at if enqueued_at else None,
+                        attempts=ticket.get("attempt", 0),
+                    )
                     queue.retire(key)  # belt and braces if a worker died
                     queue.release(key)
                     continue
@@ -306,23 +290,13 @@ class ClusterBackend(ExecutionBackend):
                 ):
                     queue.retire(key)
                     dead[key] = queue.failures(key)
-                    metric_inc("repro_queue_retry_exhausted_total")
-                    flight_record(
-                        "job", "retry-exhausted", key=key[:12],
-                        depth=depth, attempts=ticket.get("attempt", 0),
-                    )
-                    counter(
-                        "queue.retry_exhausted", depth=depth, key=key[:12],
-                        attempts=ticket.get("attempt", 0),
-                    )
-                    say(
-                        f"gave up on {spec.label()} after "
-                        f"{ticket.get('attempt', 0)} attempts"
-                    )
-                    logger.error(
-                        "gave up on %s after %d attempts",
-                        spec.label(), ticket.get("attempt", 0),
-                    )
+                    attempts = ticket.get("attempt", 0)
+                    say(event(
+                        "queue.retry_exhausted", level=logging.ERROR,
+                        message=f"gave up on {spec.label()} after "
+                        f"{attempts} attempts",
+                        depth=depth, key=key[:12], attempts=attempts,
+                    ))
                     last_progress = now
             if len(done) + len(dead) >= total:
                 break
@@ -334,19 +308,14 @@ class ClusterBackend(ExecutionBackend):
                 total=total,
             )
             if status != last_status:
+                sample(
+                    "queue",
+                    {"depth": total - len(done) - len(dead),
+                     "leased": leased, "done": len(done)},
+                    labels={"depth": depth}, message=status,
+                )
                 if verbose:
                     say(status)
-                logger.debug("%s", status)
-                gauge("queue.depth", total - len(done) - len(dead),
-                      depth=depth)
-                gauge("queue.leased", leased, depth=depth)
-                gauge("queue.done", len(done), depth=depth)
-                metric_gauge(
-                    "repro_queue_depth", total - len(done) - len(dead),
-                    depth=depth,
-                )
-                metric_gauge("repro_queue_leased", leased, depth=depth)
-                metric_gauge("repro_queue_done", len(done), depth=depth)
                 last_status = status
                 last_progress = now
             if (
@@ -355,13 +324,12 @@ class ClusterBackend(ExecutionBackend):
                 and not queue.alive_workers(max(self.lease_timeout, 10.0))
             ):
                 if not self._spawned:
-                    say(
-                        f"cluster: no alive workers on {queue.root} — start "
-                        f"some with: repro worker --cache-dir {store.root}"
-                    )
-                    logger.warning(
-                        "no alive workers on %s", queue.root
-                    )
+                    say(event(
+                        "queue.no_workers", level=logging.WARNING,
+                        message=f"cluster: no alive workers on {queue.root}"
+                        f" — start some with: repro worker --cache-dir "
+                        f"{store.root}",
+                    ))
                     warned_no_workers = True
                 elif all(p.poll() is not None for p in self._spawned):
                     raise RuntimeError(

@@ -38,7 +38,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ...telemetry import flight_record, metric_inc
+from ...telemetry import event
 from ..spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -126,7 +126,7 @@ class JobQueue:
                 "enqueued_at": time.time() if now is None else now,
             },
         )
-        metric_inc("repro_queue_enqueued_total")
+        event("queue.enqueued", key=key[:12])
         return True
 
     def read_ticket(self, key: str) -> dict | None:
@@ -199,13 +199,14 @@ class JobQueue:
         )
         try:
             os.link(stage, path)
+            won = True
         except FileExistsError:
-            metric_inc("repro_queue_claims_total", outcome="lost")
-            return False
+            won = False
         finally:
             stage.unlink(missing_ok=True)
-        metric_inc("repro_queue_claims_total", outcome="won")
-        return True
+        event("queue.claims", labels={"outcome": "won" if won else "lost"},
+              key=key[:12], owner=owner, attempt=attempt)
+        return won
 
     def read_lease(self, key: str) -> dict | None:
         """The lease of ``key`` (heartbeat falls back to file mtime)."""
@@ -257,7 +258,7 @@ class JobQueue:
         A lease older than ``timeout`` means its worker crashed (or lost
         the filesystem); the lease is dropped and the ticket's attempt
         counter charged, which makes the job claimable again.  Returns
-        the expired leases.
+        the expired leases; the broker reports them.
         """
         now = time.time() if now is None else now
         expired = []
@@ -268,12 +269,6 @@ class JobQueue:
             key = lease["key"]
             self.lease_path(key).unlink(missing_ok=True)
             self.bump_attempt(key, lease.get("attempt", 0))
-            metric_inc("repro_queue_lease_expired_total")
-            flight_record(
-                "lease", "expired", key=str(key)[:12],
-                owner=lease.get("owner"),
-                attempt=lease.get("attempt", 0),
-            )
             expired.append(lease)
         return expired
 
@@ -302,11 +297,7 @@ class JobQueue:
                 "failed_at": time.time() if now is None else now,
             },
         )
-        metric_inc("repro_queue_failures_total")
-        flight_record(
-            "job", "fail-recorded", key=key[:12], owner=owner,
-            attempt=attempt,
-        )
+        event("queue.failures", key=key[:12], owner=owner, attempt=attempt)
         self.bump_attempt(key, attempt)
         self.release(key, owner)
 

@@ -34,13 +34,10 @@ import traceback
 from typing import Callable
 
 from ...telemetry import (
+    event,
     flight_dump,
-    flight_record,
     flush_active,
-    gauge,
-    metric_gauge,
-    metric_inc,
-    metric_observe,
+    sample,
     span,
     write_metrics_files,
 )
@@ -152,14 +149,12 @@ class Worker:
         worker with telemetry off leaves a postmortem trail.
         """
         self.queue.register_worker(self.worker_id)
-        self._log(
-            f"worker {self.worker_id} serving {self.queue.root} "
-            f"-> {self.store.root}"
-        )
-        flight_record(
-            "worker", "start", worker=self.worker_id,
-            queue=str(self.queue.root),
-        )
+        self._log(event(
+            "worker.started",
+            message=f"worker {self.worker_id} serving {self.queue.root} "
+            f"-> {self.store.root}",
+            worker=self.worker_id, queue=str(self.queue.root),
+        ))
         idle_since = time.time()
         try:
             while not self._stop.is_set():
@@ -189,8 +184,8 @@ class Worker:
             )
             raise
         finally:
-            flight_record(
-                "worker", "exit", worker=self.worker_id,
+            event(
+                "worker.exited", worker=self.worker_id,
                 jobs_done=self.jobs_done, jobs_failed=self.jobs_failed,
             )
             self._maybe_write_snapshot(force=True)
@@ -214,10 +209,9 @@ class Worker:
                 continue
             if self.queue.claim(key, self.worker_id, attempt):
                 self._claims += 1
-                metric_inc("repro_worker_claims_total")
-                flight_record(
-                    "claim", key[:12], worker=self.worker_id,
-                    attempt=attempt,
+                event(
+                    "worker.claims", key=key[:12], worker=self.worker_id,
+                    attempt=attempt, label=ticket.get("label", ""),
                 )
                 if (
                     self.die_after_claims is not None
@@ -245,10 +239,6 @@ class Worker:
         key = ticket["key"]
         attempt = ticket.get("attempt", 0)
         self.current_job = key
-        flight_record(
-            "job", "start", key=key[:12], worker=self.worker_id,
-            attempt=attempt, label=ticket.get("label", ""),
-        )
         stop_beat = threading.Event()
         last_beat = time.monotonic()
 
@@ -259,7 +249,7 @@ class Worker:
                 # Heartbeat lag: how far past the nominal interval this
                 # beat landed — a loaded worker (or filesystem) shows up
                 # here long before its lease expires.
-                gauge(
+                sample(
                     "worker.heartbeat_lag",
                     max(0.0, now - last_beat - self.heartbeat_interval),
                     worker=self.worker_id, key=key[:12],
@@ -277,6 +267,7 @@ class Worker:
             "worker.job", cat="worker", worker=self.worker_id,
             key=key[:12], label=ticket.get("label", ""), attempt=attempt,
         )
+        error = None
         try:
             with job_span:
                 spec = RunSpec.from_json(ticket["spec"])
@@ -296,55 +287,38 @@ class Worker:
                     and spec.kind != "trace",
                 )
                 self.queue.complete(key, self.worker_id)
-                self.jobs_done += 1
                 job_span.annotate(
                     outcome="completed", wall_s=time.time() - started
                 )
-            metric_inc("repro_worker_jobs_total", outcome="completed")
-            metric_observe(
-                "repro_worker_job_seconds", time.time() - started,
-                outcome="completed",
-            )
-            flight_record(
-                "job", "completed", key=key[:12], worker=self.worker_id,
-                wall_s=round(time.time() - started, 4),
-            )
-            self._log(
-                f"worker {self.worker_id} completed "
-                f"{ticket.get('label', key[:12])} "
-                f"({time.time() - started:.2f}s, attempt {attempt})"
-            )
         except Exception as exc:
-            self.jobs_failed += 1
+            error = repr(exc)
             job_span.annotate(outcome="failed")
-            metric_inc("repro_worker_jobs_total", outcome="failed")
-            metric_observe(
-                "repro_worker_job_seconds", time.time() - started,
-                outcome="failed",
-            )
-            flight_record(
-                "job", "failed", key=key[:12], worker=self.worker_id,
-                attempt=attempt, error=repr(exc),
-            )
             self.queue.fail(
                 key, self.worker_id, attempt, traceback.format_exc()
             )
-            self._log(
-                f"worker {self.worker_id} failed "
-                f"{ticket.get('label', key[:12])} (attempt {attempt})"
-            )
         finally:
             self.current_job = None
-            metric_gauge("repro_worker_jobs_done", self.jobs_done)
-            metric_gauge("repro_worker_jobs_failed", self.jobs_failed)
             stop_beat.set()
             beater.join(timeout=self.heartbeat_interval + 1.0)
-            # A worker draining short jobs back to back never reaches the
-            # idle branch; refresh the registry here so it reads alive.
-            self.queue.heartbeat_worker(
-                self.worker_id, jobs_done=self.jobs_done
-            )
-            # Crash-safe event log: everything up to and including this
-            # job survives a SIGKILL during the next one.
-            flush_active()
-            self._maybe_write_snapshot()
+        if error is None:
+            self.jobs_done += 1
+        else:
+            self.jobs_failed += 1
+        outcome = "completed" if error is None else "failed"
+        wall = time.time() - started
+        self._log(event(
+            "worker.jobs", labels={"outcome": outcome}, seconds=wall,
+            message=f"worker {self.worker_id} {outcome} "
+            f"{ticket.get('label', key[:12])} "
+            f"({wall:.2f}s, attempt {attempt})",
+            key=key[:12], worker=self.worker_id, attempt=attempt, error=error,
+        ))
+        sample("worker", {"jobs_done": self.jobs_done,
+                          "jobs_failed": self.jobs_failed})
+        # A worker draining short jobs back to back never reaches the
+        # idle branch; refresh the registry here so it reads alive.
+        self.queue.heartbeat_worker(self.worker_id, jobs_done=self.jobs_done)
+        # Crash-safe event log: everything up to and including this job
+        # survives a SIGKILL during the next one.
+        flush_active()
+        self._maybe_write_snapshot()

@@ -28,8 +28,7 @@ import numpy as np
 
 from ..simulator import TraceSimulator
 from ..telemetry import (
-    metric_inc,
-    metric_observe,
+    event,
     run_scope,
     session,
     span,
@@ -167,17 +166,17 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     import time as _time
 
     started = _time.perf_counter()
+    wall = None  # only completed runs are timed
     try:
         with run_scope(spec, store):
             result = _execute_kind(spec, store)
-    except BaseException:
-        metric_inc("repro_runs_total", kind=spec.kind, outcome="failed")
-        raise
-    metric_inc("repro_runs_total", kind=spec.kind, outcome="completed")
-    metric_observe(
-        "repro_run_seconds", _time.perf_counter() - started, kind=spec.kind
-    )
-    return result
+        wall = _time.perf_counter() - started
+        return result
+    finally:
+        outcome = "failed" if wall is None else "completed"
+        event("runs", labels={"kind": spec.kind, "outcome": outcome},
+              seconds=wall, seconds_labels={"kind": spec.kind},
+              key=spec.key()[:12])
 
 
 def _execute_kind(spec: RunSpec, store: ResultStore) -> RunResult:

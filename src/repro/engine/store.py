@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..telemetry import metric_inc, span
+from ..telemetry import event, span
 from ..trace import Trace
 from .spec import RunResult, RunSpec
 
@@ -290,7 +290,8 @@ class ResultStore:
                 with open(stage / _SERIES, "wb") as fh:
                     np.savez(fh, **result.arrays)
             self._publish(result.key, stage, overwrite=overwrite)
-        metric_inc("repro_store_publishes_total", kind=result.spec.kind)
+        event("store.publishes", labels={"kind": result.spec.kind},
+              key=result.key[:12])
 
     def put_trace(self, spec: RunSpec, trace: Trace, meta: dict) -> None:
         """Publish a generated trace artifact under its spec key."""

@@ -1,7 +1,12 @@
-"""Unified telemetry: spans, counters, gauges, and profiling surfaces.
+"""Unified telemetry: spans, facts, levels, and profiling surfaces.
 
-Zero-dependency observability for the whole stack — see
-:mod:`repro.telemetry.core` for the recorder and event-log schema,
+Zero-dependency observability for the whole stack.  Instrumented code
+makes three calls: :func:`span` (a timed, nested interval), :func:`event`
+(one fact, e.g. a lease expired) and :func:`sample` (one level, e.g.
+queue depth).  One call reaches the span log, the metrics registry, the
+flight ring (facts only) and the logger; ``queue.lease_expired`` counts
+``repro_queue_lease_expired_total`` (:mod:`repro.telemetry.events`).
+See :mod:`repro.telemetry.core` for the recorder and event-log schema,
 :mod:`repro.telemetry.sinks` for the JSONL / Chrome trace-event
 writers, and :mod:`repro.telemetry.profile` for run profiles and the
 ``repro profile`` / ``repro report --timings`` / ``repro top``
@@ -20,18 +25,15 @@ from .core import (
     TelemetryRecorder,
     activate,
     active_recorder,
-    annotate,
-    counter,
     deactivate,
     flush_active,
-    gauge,
     recording,
     session,
     span,
     telemetry_active,
-    telemetry_enabled,
     telemetry_mode,
 )
+from .events import event, sample, series_name
 from .export import (
     MetricsServer,
     load_metrics_snapshots,
@@ -46,7 +48,6 @@ from .flight import (
     crash_dir,
     find_crash_dumps,
     flight_dump,
-    flight_record,
     flight_recorder,
     load_crash_dump,
     render_blackbox,
@@ -55,9 +56,6 @@ from .flight import (
 from .metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    metric_gauge,
-    metric_inc,
-    metric_observe,
     metrics_registry,
     reset_metrics,
 )
@@ -90,26 +88,20 @@ __all__ = [
     "activate",
     "active_recorder",
     "aggregate_timings",
-    "annotate",
     "chrome_trace",
     "cluster_status_doc",
-    "counter",
     "crash_dir",
     "deactivate",
     "evaluate_health",
+    "event",
     "find_crash_dumps",
     "find_run_profiles",
     "flight_dump",
-    "flight_record",
     "flight_recorder",
     "flush_active",
-    "gauge",
     "load_crash_dump",
     "load_metrics_snapshots",
     "load_run_profile",
-    "metric_gauge",
-    "metric_inc",
-    "metric_observe",
     "metrics_dir",
     "metrics_registry",
     "parse_prometheus",
@@ -125,10 +117,11 @@ __all__ = [
     "reset_metrics",
     "run_profile_path",
     "run_scope",
+    "sample",
+    "series_name",
     "session",
     "span",
     "telemetry_active",
-    "telemetry_enabled",
     "telemetry_mode",
     "telemetry_root",
     "write_chrome_trace",

@@ -15,9 +15,11 @@ Design constraints, in order:
    written under ``<store>/telemetry/`` which the content-addressed
    store never scans (``ResultStore.entries`` walks ``objects/`` only),
    and no telemetry value flows into result payloads.
-2. **Free when off.**  The module-level :func:`span` / :func:`counter`
-   / :func:`gauge` fast-path is a single global-``None`` check; with no
-   active recorder :func:`span` returns a shared do-nothing singleton.
+2. **Free when off.**  The module-level :func:`span` fast-path is a
+   single global-``None`` check; with no active recorder it returns a
+   shared do-nothing singleton.  Counter and gauge samples arrive
+   through :func:`repro.telemetry.event` / :func:`~repro.telemetry.sample`,
+   which skip the span log the same way.
 3. **Deterministic under test.**  ``TelemetryRecorder(clock=...)``
    accepts any zero-argument float callable, mirroring
    :class:`repro.meta.timer.InvocationTimer`.
@@ -60,11 +62,8 @@ __all__ = [
     "TelemetryRecorder",
     "activate",
     "active_recorder",
-    "annotate",
-    "counter",
     "deactivate",
     "flush_active",
-    "gauge",
     "recording",
     "session",
     "span",
@@ -89,11 +88,6 @@ def telemetry_mode() -> str:
             f"{TELEMETRY_ENV} must be one of {TELEMETRY_MODES}, got {mode!r}"
         )
     return mode
-
-
-def telemetry_enabled() -> bool:
-    """True when the environment asks for telemetry output."""
-    return telemetry_mode() != "off"
 
 
 class _NullSpan:
@@ -222,12 +216,6 @@ class TelemetryRecorder:
         with self._lock:
             self.events.append(event)
 
-    def annotate_current(self, **attrs) -> None:
-        """Attach attributes to the innermost open span (no-op if none)."""
-        stack = self._stack()
-        if stack:
-            stack[-1].attrs.update(attrs)
-
     # -- point samples ------------------------------------------------------
 
     def counter(self, name: str, value: float = 1.0, **attrs) -> None:
@@ -348,27 +336,6 @@ def span(name: str, cat: str = "", **attrs):
     if rec is None:
         return _NULL_SPAN
     return rec.span(name, cat=cat, **attrs)
-
-
-def counter(name: str, value: float = 1.0, **attrs) -> None:
-    """Counter sample on the active recorder (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.counter(name, value, **attrs)
-
-
-def gauge(name: str, value: float, **attrs) -> None:
-    """Gauge sample on the active recorder (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.gauge(name, value, **attrs)
-
-
-def annotate(**attrs) -> None:
-    """Attach attributes to the innermost open span (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.annotate_current(**attrs)
 
 
 def flush_active() -> int:

@@ -5,9 +5,9 @@ on first.  When a worker dies at 3am with ``REPRO_TELEMETRY`` unset,
 there is nothing to inspect.  The flight recorder closes that gap the
 way an aircraft black box does: a fixed-size ring buffer
 (:class:`collections.deque` with ``maxlen``) records the last N
-interesting events **unconditionally** — claims, job starts/finishes,
-lease transitions, failures — at the cost of one deque append, and is
-only ever *persisted* when something goes wrong:
+facts **unconditionally** — every :func:`repro.telemetry.event`: claims,
+job outcomes, lease expiries, failures — at the cost of one deque
+append, and is only ever *persisted* when something goes wrong:
 
 * an unhandled exception in a worker's main loop;
 * SIGTERM arriving while a job is in flight (mid-job kill);
@@ -44,7 +44,6 @@ __all__ = [
     "crash_dir",
     "find_crash_dumps",
     "flight_dump",
-    "flight_record",
     "flight_recorder",
     "load_crash_dump",
     "render_blackbox",
@@ -138,11 +137,6 @@ def flight_recorder() -> FlightRecorder:
             if _GLOBAL is None:
                 _GLOBAL = FlightRecorder()
     return _GLOBAL
-
-
-def flight_record(kind: str, name: str, **fields) -> None:
-    """Record one event on the global ring (always on, O(1))."""
-    flight_recorder().record(kind, name, **fields)
 
 
 def flight_dump(

@@ -17,9 +17,9 @@ layer.
 
 Aggregation happens in place at the existing hot seams two ways:
 
-* *push* — instrumentation calls :func:`metric_inc` /
-  :func:`metric_gauge` / :func:`metric_observe` (worker job outcomes,
-  queue transitions, DAG layer progress);
+* *push* — instrumented modules record facts and levels through
+  :func:`repro.telemetry.event` / :func:`~repro.telemetry.sample`
+  (worker job outcomes, queue transitions, DAG layer progress);
 * *pull* — **collectors** run at snapshot time and export state the
   codebase already aggregates in place (the pair-kernel counter frame
   of :mod:`repro.geometry.pairindex`, the store read-cache stats of
@@ -52,9 +52,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "metric_inc",
-    "metric_gauge",
-    "metric_observe",
     "metrics_registry",
     "reset_metrics",
 ]
@@ -328,21 +325,6 @@ def metrics_registry() -> MetricsRegistry:
 def reset_metrics() -> None:
     """Zero the global registry's series (test isolation)."""
     metrics_registry().reset()
-
-
-def metric_inc(name: str, value: float = 1.0, **labels) -> None:
-    """Increment a counter on the global registry (always on)."""
-    metrics_registry().inc(name, value, **labels)
-
-
-def metric_gauge(name: str, value: float, **labels) -> None:
-    """Set a gauge on the global registry (always on)."""
-    metrics_registry().set(name, value, **labels)
-
-
-def metric_observe(name: str, value: float, **labels) -> None:
-    """Record a histogram observation on the global registry."""
-    metrics_registry().observe(name, value, **labels)
 
 
 def _fmt_value(value: float) -> str:

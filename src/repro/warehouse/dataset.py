@@ -48,7 +48,7 @@ import numpy as np
 
 from ..engine.spec import RunSpec
 from ..engine.store import ResultStore
-from ..telemetry import counter, span
+from ..telemetry import event, span
 from .formats import WarehouseFormat, resolve_format
 from .schema import (
     PARTITION_COLUMNS,
@@ -495,8 +495,7 @@ class Warehouse:
                     buffered_rows += flat.n_steps
                 flush()
                 touched.append(partition)
-        counter("warehouse.ingest.runs", runs)
-        counter("warehouse.ingest.rows", rows)
+        event("warehouse.ingest", {"runs": runs, "rows": rows})
         return BuildReport(
             runs=runs,
             rows=rows,

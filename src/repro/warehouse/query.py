@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..telemetry import counter, span
+from ..telemetry import event, span
 from .dataset import Warehouse
 from .schema import PARTITION_COLUMNS
 
@@ -151,9 +151,12 @@ def scan(
             rows=rows_scanned, rows_pruned=rows_pruned,
             shards=shards_opened, partitions_pruned=partitions_pruned,
         )
-    counter("warehouse.scan.rows", rows_scanned, table=table)
-    counter("warehouse.scan.rows_pruned", rows_pruned, table=table)
-    counter("warehouse.scan.shards", shards_opened, table=table)
+    event(
+        "warehouse.scan",
+        {"rows": rows_scanned, "rows_pruned": rows_pruned,
+         "shards": shards_opened},
+        labels={"table": table},
+    )
 
 
 def scan_table(

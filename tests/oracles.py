@@ -10,6 +10,8 @@ The straightforward versions that path replaced live here, as oracles:
 * the sequential :meth:`~repro.geometry.Box.subtract` sweep behind
   :func:`~repro.geometry.subtract_corners` and
   :func:`~repro.geometry.overlay_corners`;
+* :func:`clip_to_parents_reference`, the hierarchy build's clip step
+  with the re-disjointification it no longer runs;
 * :func:`check_step`, the whole-step check: one simulator step must
   agree bit-identically with the same step under the ``bruteforce``
   pair oracle and with the dense reductions.
@@ -27,6 +29,7 @@ import numpy as np
 from repro.geometry import (
     NO_OWNER,
     Box,
+    BoxList,
     OwnerMap,
     box_corners,
     pair_index_forced,
@@ -243,3 +246,22 @@ def result_from_rasters(rasters, nprocs: int):
         maps=tuple(OwnerMap.from_raster(np.asarray(r, np.int32)) for r in rasters),
         nprocs=nprocs,
     )
+
+
+# ---------------------------------------------------------------------------
+# hierarchy build
+
+
+def clip_to_parents_reference(clusters, parents) -> BoxList:
+    """The clip step of ``build_hierarchy`` with its old re-disjointification.
+
+    ``BoxList.disjointified`` subtracts every earlier piece from every
+    later one; on the disjoint pieces the clip produces it is the identity.
+    """
+    clipped = [
+        piece
+        for box in clusters
+        for parent in parents
+        if (piece := box.intersect(parent)) is not None
+    ]
+    return BoxList(clipped).disjointified().coalesced()

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.apps import (
     APPLICATIONS,
@@ -18,8 +21,11 @@ from repro.apps import (
     generate_trace,
     make_application,
 )
-from repro.clustering import gradient_indicator
+from repro.apps.base import _clip_to_parents
+from repro.clustering import cluster_flags, gradient_indicator
 from repro.experiments import workload_ndim
+from repro.geometry import BoxList
+from tests.oracles import clip_to_parents_reference
 
 
 ALL_APPS = sorted(APPLICATIONS)
@@ -242,14 +248,30 @@ class TestBuildHierarchy:
         with pytest.raises(ValueError):
             build_hierarchy(np.zeros(16), TraceGenConfig())
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_clip_skips_disjointify(self, data):
+        # Clusters and parents are each Berger--Rigoutsos output, so
+        # disjoint: the clip pieces need no re-disjointification, and
+        # the patches (and their greedy coalescing order) are unchanged.
+        shape = data.draw(st.tuples(*[st.integers(2, 20)] * data.draw(
+            st.integers(2, 3))))
+        parent_flags, flags = (
+            data.draw(hnp.arrays(bool, shape)) for _ in range(2)
+        )
+        parents = BoxList(cluster_flags(parent_flags))
+        clusters = cluster_flags(flags)
+        got = _clip_to_parents(clusters, parents)
+        assert got.boxes == clip_to_parents_reference(clusters, parents).boxes
+
     @pytest.mark.parametrize("ndim,factor", [(2, 1), (2, 2), (2, 4), (3, 2)])
     def test_windowed_equals_full_domain_reference(self, ndim, factor):
         # build_hierarchy windows all per-level arrays to the refined
         # parent's buffered bounding box; this must be *exactly* the
         # hierarchy the straightforward full-domain arrays produce.
-        from repro.clustering import buffer_flags, cluster_flags
+        from repro.clustering import buffer_flags
         from repro.apps.base import _resample
-        from repro.geometry import Box, BoxList, rasterize_mask
+        from repro.geometry import Box, rasterize_mask
         from repro.hierarchy import GridHierarchy, PatchLevel
 
         def reference(indicator, config):
@@ -276,13 +298,9 @@ class TestBuildHierarchy:
                 )
                 if not flags.any():
                     break
-                clipped = [
-                    piece
-                    for box in cluster_flags(flags, config.cluster)
-                    for parent in refined
-                    if (piece := box.intersect(parent)) is not None
-                ]
-                patches = BoxList(clipped).disjointified().coalesced()
+                patches = clip_to_parents_reference(
+                    cluster_flags(flags, config.cluster), refined
+                )
                 if patches.ncells == 0:
                     break
                 levels.append(

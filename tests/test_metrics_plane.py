@@ -13,6 +13,7 @@ cluster-status ages, and the ``repro top --json`` / ``repro report
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -20,22 +21,30 @@ import urllib.request
 
 import pytest
 
-from repro.engine import JobQueue, ResultStore, cli, trace_spec
+from repro.engine import ClusterBackend, JobQueue, ResultStore, cli, trace_spec
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
     MetricsServer,
     cluster_status_doc,
     evaluate_health,
+    event,
     find_crash_dumps,
+    flight_recorder,
     load_crash_dump,
     load_metrics_snapshots,
     metrics_registry,
     parse_prometheus,
+    recording,
     render_blackbox,
     render_cluster_status,
     render_prometheus,
     render_timings,
+    reset_flight,
+    reset_metrics,
+    sample,
+    series_name,
+    telemetry_active,
     write_metrics_files,
 )
 from repro.telemetry.profile import aggregate_timings
@@ -140,6 +149,145 @@ def test_global_registry_exports_pair_and_store_cache_counters():
     assert "repro_pair_index_reuses_total" in names
     assert "repro_store_read_cache_hits_total" in names
     assert "repro_store_read_cache_misses_total" in names
+
+
+# ---------------------------------------------------------------------------
+# the front door: one event() / sample() call reaches every sink
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def sinks(monkeypatch, caplog):
+    """Fresh registry and flight ring; ``repro.*`` records reach caplog."""
+    reset_metrics()
+    reset_flight()
+    # The CLI detaches the ``repro`` logger tree from the root logger.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    caplog.set_level(logging.DEBUG, logger="repro")
+    yield caplog
+    reset_metrics()
+    reset_flight()
+
+
+def _series(name: str) -> list[dict]:
+    snap = metrics_registry().snapshot(run_collectors=False)
+    return [
+        entry for kind in ("counters", "gauges", "histograms")
+        for entry in snap[kind] if entry["name"] == name
+    ]
+
+
+def test_series_name_rule():
+    assert series_name("queue.lease_expired") == (
+        "repro_queue_lease_expired_total"
+    )
+    assert series_name("queue.depth", "gauge") == "repro_queue_depth"
+    assert series_name("worker.jobs", "histogram") == (
+        "repro_worker_job_seconds"
+    )
+    assert series_name("runs", "histogram") == "repro_run_seconds"
+
+
+def test_event_reaches_all_four_sinks(sinks):
+    with recording() as rec:
+        message = event(
+            "unit.jobs", 2, labels={"outcome": "completed"},
+            level=logging.WARNING, message="two jobs done",
+            key="abcdef123456", owner="w-1",
+        )
+    assert message == "two jobs done"
+    [sample_] = [e for e in rec.events if e["type"] == "counter"]
+    assert sample_["name"] == "unit.jobs" and sample_["value"] == 2.0
+    assert sample_["attrs"] == {
+        "outcome": "completed", "key": "abcdef123456", "owner": "w-1",
+    }
+    # High-cardinality fields never become labels.
+    [series] = _series("repro_unit_jobs_total")
+    assert series["labels"] == {"outcome": "completed"}
+    assert series["value"] == 2.0
+    [ring] = flight_recorder().events()
+    assert ring["name"] == "unit.jobs" and ring["key"] == "abcdef123456"
+    assert ring["labels"] == {"outcome": "completed"}
+    [record] = [r for r in sinks.records if r.name == "repro.unit"]
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == "two jobs done"
+
+
+def test_event_without_telemetry_still_reaches_registry_ring_and_log(sinks):
+    assert not telemetry_active()
+    assert event("unit.leases", owner="w-2") is None
+    [series] = _series("repro_unit_leases_total")
+    assert series["labels"] == {} and series["value"] == 1.0
+    [ring] = flight_recorder().events()
+    assert ring["owner"] == "w-2"
+    [record] = [r for r in sinks.records if r.name == "repro.unit"]
+    assert record.levelno == logging.DEBUG  # routine facts stay quiet
+    assert "unit.leases" in record.getMessage()
+
+
+def test_event_mapping_value_and_timing(sinks):
+    with recording() as rec:
+        event("unit.plan", {"layers_done": 1, "jobs_done": 4},
+              labels={"backend": "serial"})
+        event("unit.runs", labels={"kind": "sim", "outcome": "completed"},
+              seconds=0.5, seconds_labels={"kind": "sim"})
+    counters = {e["name"]: e["value"] for e in rec.events
+                if e["type"] == "counter"}
+    assert counters == {
+        "unit.plan.layers_done": 1.0, "unit.plan.jobs_done": 4.0,
+        "unit.runs": 1.0,
+    }
+    [jobs] = _series("repro_unit_plan_jobs_done_total")
+    assert jobs["labels"] == {"backend": "serial"} and jobs["value"] == 4.0
+    [hist] = _series("repro_unit_run_seconds")
+    assert hist["labels"] == {"kind": "sim"} and hist["count"] == 1
+    # One fact, one ring record, whatever the number of quantities.
+    assert [e["name"] for e in flight_recorder().events()] == [
+        "unit.plan", "unit.runs",
+    ]
+
+
+def test_sample_sets_gauges_but_skips_the_ring(sinks):
+    with recording() as rec:
+        sample("unit.queue", {"depth": 3, "leased": 1}, labels={"depth": 0},
+               message="layer 0: 2 queued, 1 leased")
+    gauges = {e["name"]: e["value"] for e in rec.events
+              if e["type"] == "gauge"}
+    assert gauges == {"unit.queue.depth": 3.0, "unit.queue.leased": 1.0}
+    [depth] = _series("repro_unit_queue_depth")
+    assert depth["labels"] == {"depth": "0"} and depth["value"] == 3.0
+    assert flight_recorder().events() == []
+    assert [r.getMessage() for r in sinks.records] == [
+        "layer 0: 2 queued, 1 leased"
+    ]
+
+
+def test_broker_drain_reports_an_expired_lease_once(sinks, tmp_path):
+    class _DoneStore:
+        root = tmp_path
+
+        @staticmethod
+        def has(key):
+            return True
+
+    queue = JobQueue(tmp_path / "queue")
+    spec = trace_spec("tp2d", "small")
+    queue.enqueue(spec)
+    assert queue.claim(spec.key(), "ghost", 0, now=0.0)  # ancient lease
+    reset_metrics()
+    reset_flight()
+    lines: list[str] = []
+    ClusterBackend(lease_timeout=1.0)._drain_layer(
+        0, {spec.key(): spec}, queue, _DoneStore(), lines.append, False
+    )
+    registry = metrics_registry()
+    assert registry.counter_value("repro_queue_lease_expired_total") == 1
+    expired = [e for e in flight_recorder().events()
+               if e["name"] == "queue.lease_expired"]
+    assert len(expired) == 1 and expired[0]["owner"] == "ghost"
+    [line] = [ln for ln in lines if "lease expired" in ln]
+    [record] = [r for r in sinks.records
+                if r.levelno == logging.WARNING]
+    assert record.getMessage() == line
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +453,8 @@ def test_worker_die_after_claims_leaves_crash_dump(tmp_path):
     doc = load_crash_dump(dumps[-1])
     assert doc["reason"] == "fault-injection-sigkill"
     assert doc["job"] == spec.key()
-    kinds = {(e["kind"], e["name"]) for e in doc["events"]}
-    assert ("claim", spec.key()[:12]) in kinds
+    claims = [e for e in doc["events"] if e["name"] == "worker.claims"]
+    assert [e["key"] for e in claims] == [spec.key()[:12]]
     render_blackbox(doc)  # renders without raising
     # The lease the dead worker held is still on disk: `repro health`
     # must flag it (and the dump) and exit nonzero.
