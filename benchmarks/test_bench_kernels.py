@@ -3,15 +3,19 @@
 These time the hot paths the repository's vectorization work targets:
 box-intersection volume (the ``beta_m`` kernel), Hilbert/Morton key
 generation, the hybrid partitioner, the execution simulator's per-step
-metrics and full-model state sampling.
+metrics, full-model state sampling and the rm2d shadow kernel's step.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.experiments import paper_trace
+from repro.apps import RichtmyerMeshkov2D
+from repro.experiments import paper_trace, shadow_shape
 from repro.geometry import intersection_volume
 from repro.model import StateSampler, migration_penalty
 from repro.partition import DomainSfcPartitioner, NaturePlusFable
@@ -19,6 +23,7 @@ from repro.sfc import hilbert_key, morton_key
 from repro.simulator import TraceSimulator
 
 from conftest import BENCH_NPROCS
+from tests.oracles import rm2d_reference_advance
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +96,23 @@ def test_state_sampling_per_trace(benchmark, trace):
     sampler = StateSampler(nprocs=BENCH_NPROCS)
     series = benchmark(sampler.penalty_series, trace)
     assert series.beta_m.shape[0] == len(trace)
+
+
+def test_rm2d_advance(benchmark, scale):
+    """Coarse rm2d steps at the scale's shadow grid, checked against the
+    padded-stack reference run for the same number of steps."""
+    app = RichtmyerMeshkov2D(shape=shadow_shape(scale, 2))
+    ref = copy.deepcopy(app)
+    steps = 0
+
+    def advance():
+        nonlocal steps
+        app.advance()
+        steps += 1
+
+    benchmark(advance)
+    for _ in range(steps):
+        rm2d_reference_advance(ref)
+    digest = [hashlib.sha256(a._U.tobytes()).hexdigest() for a in (app, ref)]
+    assert digest[0] == digest[1]
+    assert app.time == ref.time

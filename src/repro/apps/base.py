@@ -346,7 +346,8 @@ def generate_trace(
               nsteps=config.nsteps, ndim=config.ndim):
         record(0)
         for step in range(1, config.nsteps + 1):
-            app.advance()
+            with span("trace.advance", cat="trace", app=app.name, step=step):
+                app.advance()
             if step % config.regrid_interval == 0:
                 record(step)
     return Trace(

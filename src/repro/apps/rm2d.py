@@ -92,7 +92,8 @@ class RichtmyerMeshkov2D(ShadowApplication):
         rho[shock] = 1.862
         p[shock] = 2.458
         u[shock] = 0.756
-        self._U = self._primitive_to_conserved(rho, u, v, p)
+        E = p / (self._gamma - 1.0) + 0.5 * rho * (u**2 + v**2)
+        self._U = np.stack([rho, rho * u, rho * v, E])
 
     # -- ShadowApplication interface ---------------------------------------
     @property
@@ -108,79 +109,87 @@ class RichtmyerMeshkov2D(ShadowApplication):
         return self._U[0]
 
     def advance(self) -> None:
-        """One coarse step of CFL-limited Rusanov sub-cycles."""
+        """One coarse step of CFL-limited Rusanov sub-cycles.
+
+        A sub-step derives the primitives and wave speeds once, then updates
+        one conserved component at a time in planes this step allocates.
+        Every element keeps the expression tree of the ghost-padded textbook
+        form (``tests/oracles.py``), so the state matches it bit for bit.
+        """
+        work = np.empty((15,) + self._shape)
         remaining = self._dt
         while remaining > 1e-14:
-            rho, u, v, p = self._conserved_to_primitive(self._U)
-            c = np.sqrt(self._gamma * p / rho)
-            smax = float((np.abs(u) + c).max() / self._hx + (np.abs(v) + c).max() / self._hy)
+            ax, ay = self._primitives(work)
+            smax = float(ax.max() / self._hx + ay.max() / self._hy)
+            if not np.isfinite(smax):  # a NaN bound would end the step silently
+                raise FloatingPointError(
+                    f"{self.name}: non-finite wave speed at time {self._time!r}")
             sub = min(remaining, 0.35 / max(smax, 1e-12))
-            self._rusanov_step(sub)
+            self._rusanov_step(sub, work)
             self._time += sub
             remaining -= sub
 
     # -- internals -----------------------------------------------------------
-    def _primitive_to_conserved(
-        self, rho: np.ndarray, u: np.ndarray, v: np.ndarray, p: np.ndarray
-    ) -> np.ndarray:
-        E = p / (self._gamma - 1.0) + 0.5 * rho * (u**2 + v**2)
-        return np.stack([rho, rho * u, rho * v, E])
+    def _primitives(self, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rho, u, v, p, |u| + c, |v| + c`` into ``work[:6]``: ``p = max((g-1) *
+        (U3 - 0.5*rho*(u**2 + v**2)), 1e-10)``, ``c = sqrt(g*p/rho)``."""
+        U, g = self._U, self._gamma
+        rho, u, v, p, ax, ay, t1, t2 = work[:8]
+        np.maximum(U[0], 1e-10, out=rho)
+        np.divide(U[1], rho, out=u)
+        np.divide(U[2], rho, out=v)
+        np.add(np.square(u, out=t1), np.square(v, out=t2), out=t1)
+        t1 *= np.multiply(0.5, rho, out=t2)
+        np.multiply(g - 1.0, np.subtract(U[3], t1, out=p), out=p)
+        np.maximum(p, 1e-10, out=p)
+        c = np.sqrt(np.divide(np.multiply(g, p, out=t1), rho, out=t1), out=t1)
+        np.add(np.abs(u, out=ax), c, out=ax)
+        return ax, np.add(np.abs(v, out=ay), c, out=ay)
 
-    def _conserved_to_primitive(
-        self, U: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        rho = np.maximum(U[0], 1e-10)
-        u = U[1] / rho
-        v = U[2] / rho
-        kinetic = 0.5 * rho * (u**2 + v**2)
-        p = np.maximum((self._gamma - 1.0) * (U[3] - kinetic), 1e-10)
-        return rho, u, v, p
-
-    def _flux_x(self, U: np.ndarray) -> np.ndarray:
-        rho, u, v, p = self._conserved_to_primitive(U)
-        return np.stack([rho * u, rho * u**2 + p, rho * u * v, (U[3] + p) * u])
-
-    def _flux_y(self, U: np.ndarray) -> np.ndarray:
-        rho, u, v, p = self._conserved_to_primitive(U)
-        return np.stack([rho * v, rho * u * v, rho * v**2 + p, (U[3] + p) * v])
-
-    def _pad_reflect(self, U: np.ndarray, axis: int) -> np.ndarray:
-        """Ghost cells for reflective walls: mirror and flip the normal momentum."""
-        lo = U[:, :1, :] if axis == 1 else U[:, :, :1]
-        hi = U[:, -1:, :] if axis == 1 else U[:, :, -1:]
-        lo = lo.copy()
-        hi = hi.copy()
-        mom = 1 if axis == 1 else 2
-        lo[mom] *= -1.0
-        hi[mom] *= -1.0
-        return np.concatenate([lo, U, hi], axis=axis)
-
-    def _rusanov_step(self, dt: float) -> None:
-        """First-order Rusanov finite-volume update with reflective walls."""
+    def _rusanov_step(self, dt: float, work: np.ndarray) -> None:
+        """``U + (-(dt/hx)*dF_x + -(dt/hy)*dG_y)`` with reflective walls."""
         U = self._U
-        g = self._gamma
-        # --- x-direction ---
-        Ux = self._pad_reflect(U, axis=1)
-        rho, u, v, p = self._conserved_to_primitive(Ux)
-        c = np.sqrt(g * p / rho)
-        a = np.abs(u) + c
-        F = self._flux_x(Ux)
-        aL, aR = a[:-1, :], a[1:, :]
-        amax = np.maximum(aL, aR)[None]
-        flux_x = 0.5 * (F[:, :-1, :] + F[:, 1:, :]) - 0.5 * amax * (
-            Ux[:, 1:, :] - Ux[:, :-1, :]
-        )
-        dU = -(dt / self._hx) * (flux_x[:, 1:, :] - flux_x[:, :-1, :])
-        # --- y-direction ---
-        Uy = self._pad_reflect(U, axis=2)
-        rho, u, v, p = self._conserved_to_primitive(Uy)
-        c = np.sqrt(g * p / rho)
-        a = np.abs(v) + c
-        G = self._flux_y(Uy)
-        aL, aR = a[:, :-1], a[:, 1:]
-        amax = np.maximum(aL, aR)[None]
-        flux_y = 0.5 * (G[:, :, :-1] + G[:, :, 1:]) - 0.5 * amax * (
-            Uy[:, :, 1:] - Uy[:, :, :-1]
-        )
-        dU += -(dt / self._hy) * (flux_y[:, :, 1:] - flux_y[:, :, :-1])
-        self._U = U + dU
+        rho, u, v, p, ax, ay, rhou, rhouv, F, G, du, dy, hx, hy, face = work
+        for a, half, s in ((ax, hx, ax.shape[1]), (ay, hy, 1)):  # 0.5 * amax
+            a, h = a.reshape(-1), half.reshape(-1)[:-s]
+            np.multiply(0.5, np.maximum(a[:-s], a[s:], out=h), out=h)
+        self._U = np.empty_like(U)
+        for k, (Fk, Gk) in enumerate(_fluxes(rho, u, v, p, U[3], rhou, rhouv, F, G)):
+            _face_delta(Fk, U[k], ax, hx, face, du, 0, k == 1)
+            _face_delta(Gk, U[k], ay, hy, face, dy, 1, k == 2)
+            du *= -(dt / self._hx)
+            dy *= -(dt / self._hy)
+            np.add(U[k], np.add(du, dy, out=du), out=self._U[k])
+
+
+def _fluxes(rho, u, v, p, E, rhou, rhouv, F, G):
+    """Yield ``(F_k, G_k)``: ``rho*u, rho*u**2 + p, (rho*u)*v, (E+p)*u``, y mirror."""
+    yield np.multiply(rho, u, out=rhou), np.multiply(rho, v, out=G)
+    np.multiply(rhou, v, out=rhouv)
+    yield np.add(np.multiply(rho, np.square(u, out=F), out=F), p, out=F), rhouv
+    yield rhouv, np.add(np.multiply(rho, np.square(v, out=G), out=G), p, out=G)
+    Ep = np.add(E, p, out=rhou)
+    yield np.multiply(Ep, u, out=F), np.multiply(Ep, v, out=G)
+
+
+def _face_delta(F, Uk, a, half, face, out, axis, normal):
+    """``out`` = right minus left Rusanov face flux of each cell along ``axis``.
+
+    Faces ``0.5*(F_L + F_R) - (0.5*amax)*(U_R - U_L)`` run on flat planes
+    (along y the ones straddling two rows are garbage); then the wall cells
+    are overwritten.  A wall ghost is the edge cell with the normal momentum
+    negated: flux ``-F`` (``+F`` for the normal momentum, whose state is
+    ``-U``), the edge's wave speed.  Exact IEEE identities: bit-identical.
+    """
+    s = F.shape[1] if axis == 0 else 1
+    Ff, Uf, hf, ff, of = (x.reshape(-1) for x in (F, Uk, half, face, out))
+    f = np.multiply(0.5, np.add(Ff[:-s], Ff[s:], out=ff[:-s]), out=ff[:-s])
+    jump = np.subtract(Uf[s:], Uf[:-s], out=of[:-s])
+    f -= np.multiply(jump, hf[:-s], out=jump)
+    np.subtract(f[s:], f[:-s], out=of[s:-s])
+    F, Uk, a, face, out = (x.T if axis else x for x in (F, Uk, a, face, out))
+    for w, lo in ((0, True), (-1, False)):
+        Fg, Ug = (F[w], -Uk[w]) if normal else (-F[w], Uk[w])
+        FL, FR, UL, UR = (Fg, F[w], Ug, Uk[w]) if lo else (F[w], Fg, Uk[w], Ug)
+        flux = 0.5 * (FL + FR) - (0.5 * a[w]) * (UR - UL)
+        out[w] = face[0] - flux if lo else flux - face[-2]

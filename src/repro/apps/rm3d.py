@@ -132,6 +132,9 @@ class RichtmyerMeshkov3D(ShadowApplication):
             smax = sum(
                 float((np.abs(v) + c).max() / h) for v, h in zip(vel, self._h)
             )
+            if not np.isfinite(smax):  # a NaN bound would end the step silently
+                raise FloatingPointError(
+                    f"{self.name}: non-finite wave speed at time {self._time!r}")
             sub = min(remaining, 0.35 / max(smax, 1e-12))
             self._rusanov_step(sub)
             self._time += sub
@@ -164,12 +167,7 @@ class RichtmyerMeshkov3D(ShadowApplication):
 
     def _pad_reflect(self, U: np.ndarray, axis: int) -> np.ndarray:
         """Ghost cells for reflective walls: mirror, flip normal momentum."""
-        sl_lo = [slice(None)] * 4
-        sl_hi = [slice(None)] * 4
-        sl_lo[1 + axis] = slice(0, 1)
-        sl_hi[1 + axis] = slice(-1, None)
-        lo = U[tuple(sl_lo)].copy()
-        hi = U[tuple(sl_hi)].copy()
+        lo, hi = (np.take(U, [end], axis=1 + axis) for end in (0, -1))
         lo[1 + axis] *= -1.0
         hi[1 + axis] *= -1.0
         return np.concatenate([lo, U, hi], axis=1 + axis)
@@ -184,20 +182,9 @@ class RichtmyerMeshkov3D(ShadowApplication):
             c = np.sqrt(self._gamma * p / rho)
             a = np.abs(vel[axis]) + c
             F = self._flux(Up, axis)
-            sl_lo = [slice(None)] * 4
-            sl_hi = [slice(None)] * 4
-            sl_lo[1 + axis] = slice(None, -1)
-            sl_hi[1 + axis] = slice(1, None)
-            lo, hi = tuple(sl_lo), tuple(sl_hi)
-            a_lo = a[lo[1:]]
-            a_hi = a[hi[1:]]
-            amax = np.maximum(a_lo, a_hi)[None]
+            lo = (slice(None),) * (1 + axis) + (slice(None, -1),)
+            hi = (slice(None),) * (1 + axis) + (slice(1, None),)
+            amax = np.maximum(a[lo[1:]], a[hi[1:]])[None]
             flux = 0.5 * (F[lo] + F[hi]) - 0.5 * amax * (Up[hi] - Up[lo])
-            sl_in_lo = [slice(None)] * 4
-            sl_in_hi = [slice(None)] * 4
-            sl_in_lo[1 + axis] = slice(None, -1)
-            sl_in_hi[1 + axis] = slice(1, None)
-            dU -= (dt / self._h[axis]) * (
-                flux[tuple(sl_in_hi)] - flux[tuple(sl_in_lo)]
-            )
+            dU -= (dt / self._h[axis]) * (flux[hi] - flux[lo])
         self._U = U + dU

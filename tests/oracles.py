@@ -12,6 +12,8 @@ The straightforward versions that path replaced live here, as oracles:
   :func:`~repro.geometry.overlay_corners`;
 * :func:`clip_to_parents_reference`, the hierarchy build's clip step
   with the re-disjointification it no longer runs;
+* :func:`rm2d_reference_advance`, the rm2d Rusanov step on ghost-padded
+  state stacks, with the primitives re-derived for every use;
 * :func:`check_step`, the whole-step check: one simulator step must
   agree bit-identically with the same step under the ``bruteforce``
   pair oracle and with the dense reductions.
@@ -265,3 +267,88 @@ def clip_to_parents_reference(clusters, parents) -> BoxList:
         if (piece := box.intersect(parent)) is not None
     ]
     return BoxList(clipped).disjointified().coalesced()
+
+
+# ---------------------------------------------------------------------------
+# rm2d shadow kernel
+
+
+def _rm2d_conserved_to_primitive(app, U: np.ndarray):
+    rho = np.maximum(U[0], 1e-10)
+    u = U[1] / rho
+    v = U[2] / rho
+    kinetic = 0.5 * rho * (u**2 + v**2)
+    p = np.maximum((app._gamma - 1.0) * (U[3] - kinetic), 1e-10)
+    return rho, u, v, p
+
+
+def _rm2d_flux_x(app, U: np.ndarray) -> np.ndarray:
+    rho, u, v, p = _rm2d_conserved_to_primitive(app, U)
+    return np.stack([rho * u, rho * u**2 + p, rho * u * v, (U[3] + p) * u])
+
+
+def _rm2d_flux_y(app, U: np.ndarray) -> np.ndarray:
+    rho, u, v, p = _rm2d_conserved_to_primitive(app, U)
+    return np.stack([rho * v, rho * u * v, rho * v**2 + p, (U[3] + p) * v])
+
+
+def _rm2d_pad_reflect(U: np.ndarray, axis: int) -> np.ndarray:
+    """Ghost cells for reflective walls: mirror and flip the normal momentum."""
+    lo = U[:, :1, :] if axis == 1 else U[:, :, :1]
+    hi = U[:, -1:, :] if axis == 1 else U[:, :, -1:]
+    lo = lo.copy()
+    hi = hi.copy()
+    mom = 1 if axis == 1 else 2
+    lo[mom] *= -1.0
+    hi[mom] *= -1.0
+    return np.concatenate([lo, U, hi], axis=axis)
+
+
+def _rm2d_rusanov_step(app, dt: float) -> None:
+    U = app._U
+    g = app._gamma
+    # --- x-direction ---
+    Ux = _rm2d_pad_reflect(U, axis=1)
+    rho, u, v, p = _rm2d_conserved_to_primitive(app, Ux)
+    c = np.sqrt(g * p / rho)
+    a = np.abs(u) + c
+    F = _rm2d_flux_x(app, Ux)
+    aL, aR = a[:-1, :], a[1:, :]
+    amax = np.maximum(aL, aR)[None]
+    flux_x = 0.5 * (F[:, :-1, :] + F[:, 1:, :]) - 0.5 * amax * (
+        Ux[:, 1:, :] - Ux[:, :-1, :]
+    )
+    dU = -(dt / app._hx) * (flux_x[:, 1:, :] - flux_x[:, :-1, :])
+    # --- y-direction ---
+    Uy = _rm2d_pad_reflect(U, axis=2)
+    rho, u, v, p = _rm2d_conserved_to_primitive(app, Uy)
+    c = np.sqrt(g * p / rho)
+    a = np.abs(v) + c
+    G = _rm2d_flux_y(app, Uy)
+    aL, aR = a[:, :-1], a[:, 1:]
+    amax = np.maximum(aL, aR)[None]
+    flux_y = 0.5 * (G[:, :, :-1] + G[:, :, 1:]) - 0.5 * amax * (
+        Uy[:, :, 1:] - Uy[:, :, :-1]
+    )
+    dU += -(dt / app._hy) * (flux_y[:, :, 1:] - flux_y[:, :, :-1])
+    app._U = U + dU
+
+
+def rm2d_reference_advance(app) -> None:
+    """One coarse ``RichtmyerMeshkov2D`` step, the padded-stack way.
+
+    Each sub-step re-derives the primitives five times and builds
+    ghost-padded ``(4, n + 2, m)`` copies of the state; the production
+    kernel must match it bit for bit in ``_U`` and ``time``.
+    """
+    remaining = app._dt
+    while remaining > 1e-14:
+        rho, u, v, p = _rm2d_conserved_to_primitive(app, app._U)
+        c = np.sqrt(app._gamma * p / rho)
+        smax = float(
+            (np.abs(u) + c).max() / app._hx + (np.abs(v) + c).max() / app._hy
+        )
+        sub = min(remaining, 0.35 / max(smax, 1e-12))
+        _rm2d_rusanov_step(app, sub)
+        app._time += sub
+        remaining -= sub

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from repro.apps import (
     APPLICATIONS,
     BuckleyLeverett2D,
     RichtmyerMeshkov2D,
+    RichtmyerMeshkov3D,
     ScalarWave2D,
     TraceGenConfig,
     Transport2D,
@@ -25,7 +28,8 @@ from repro.apps.base import _clip_to_parents
 from repro.clustering import cluster_flags, gradient_indicator
 from repro.experiments import workload_ndim
 from repro.geometry import BoxList
-from tests.oracles import clip_to_parents_reference
+from repro.telemetry import recording
+from tests.oracles import clip_to_parents_reference, rm2d_reference_advance
 
 
 ALL_APPS = sorted(APPLICATIONS)
@@ -214,6 +218,70 @@ class TestPhysics:
             Transport3D(shape=(32, 32))
 
 
+def assert_rm2d_matches_reference(app: RichtmyerMeshkov2D, steps: int = 6) -> None:
+    """``advance`` equals the padded-stack oracle byte for byte, step by step."""
+    ref = copy.deepcopy(app)
+    for step in range(steps):
+        app.advance()
+        rm2d_reference_advance(ref)
+        assert app.time == ref.time, f"time differs after step {step + 1}"
+        assert app._U.tobytes() == ref._U.tobytes(), (
+            f"state differs after step {step + 1}"
+        )
+
+
+class TestRm2dKernel:
+    """The one-primitive-evaluation Rusanov step against its reference."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        shape=st.sampled_from([(16, 16), (16, 24), (40, 16), (24, 32)]),
+        seed=st.integers(0, 2**16),
+        atwood=st.floats(0.05, 0.9),
+        modes=st.integers(0, 6),
+    )
+    def test_bit_identical_to_reference(self, shape, seed, atwood, modes):
+        app = RichtmyerMeshkov2D(
+            shape=shape, atwood=atwood, perturbation_modes=modes, seed=seed
+        )
+        assert_rm2d_matches_reference(app)
+
+    def test_zero_wall_velocities(self):
+        """Zero momenta: every ghost momentum is ``-0.0``."""
+        app = RichtmyerMeshkov2D(shape=(24, 16))
+        app._U[1:3] = 0.0
+        assert_rm2d_matches_reference(app)
+
+    def test_density_and_pressure_clamps(self):
+        app = RichtmyerMeshkov2D(shape=(16, 20), seed=7)
+        U = app._U
+        U[0, 5:7, 3:5] = -1.0  # density clamps to 1e-10 (no momentum there)
+        U[1:4, 5:7, 3:5] = 0.0  # so the pressure clamps there too
+        U[1, 10:12, 8:10] = 0.3
+        U[3, 10:12, 8:10] = 0.0  # kinetic energy exceeds the total
+        rho = np.maximum(U[0], 1e-10)
+        kinetic = 0.5 * rho * ((U[1] / rho) ** 2 + (U[2] / rho) ** 2)
+        assert (U[0] < 1e-10).sum() == 4
+        assert ((0.4 * (U[3] - kinetic)) < 1e-10).sum() >= 8
+        assert_rm2d_matches_reference(app)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, bad):
+        app = RichtmyerMeshkov2D(shape=(16, 16))
+        app.advance()
+        app._U[0, 7, 9] = bad
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"rm2d: .* at time 0\.006"
+        ):
+            app.advance()
+
+    def test_non_finite_rm3d_state_raises(self):
+        app = RichtmyerMeshkov3D(shape=(16, 16, 16))
+        app._U[4, 3, 5, 7] = np.nan
+        with pytest.raises(FloatingPointError, match="rm3d: .* at time 0"):
+            app.advance()
+
+
 class TestBuildHierarchy:
     def test_flat_indicator_gives_base_only(self):
         cfg = TraceGenConfig(base_shape=(16, 16), max_levels=3)
@@ -342,6 +410,16 @@ class TestGenerateTrace:
     def test_trace_name_matches_app(self, small_traces):
         for name, tr in small_traces.items():
             assert tr.name == name
+
+    def test_one_advance_span_per_step(self, small_config):
+        with recording() as rec:
+            generate_trace(make_application("rm2d", shape=(64, 64)), small_config)
+        spans = [e for e in rec.events
+                 if e["type"] == "span" and e["name"] == "trace.advance"]
+        assert [e["attrs"]["step"] for e in spans] == list(
+            range(1, small_config.nsteps + 1)
+        )
+        assert {e["attrs"]["app"] for e in spans} == {"rm2d"}
 
     def test_deterministic_regeneration(self, small_config):
         a = generate_trace(make_application("bl2d", shape=(64, 64)), small_config)
