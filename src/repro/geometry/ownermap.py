@@ -26,9 +26,11 @@ The pair kernels themselves (:func:`pair_intersections`,
 :func:`overlap_volume`, :func:`face_contacts`) dispatch through the
 grid-bucket pair-pruning index (:mod:`repro.geometry.pairindex`): at
 scale the O(n_a * n_b) candidate product is pruned to near-linear before
-the exact arithmetic runs, with output ordering guaranteed bit-identical
-to the historical broadcast (which survives as the ``bruteforce``
-oracle path, selected via ``REPRO_PAIR_INDEX``).
+the exact arithmetic runs.  Candidates arrive duplicate-free and
+unordered; kernels that emit pairs sort their exact survivors into the
+historical broadcast's order (which survives as the ``bruteforce``
+oracle path, selected via ``REPRO_PAIR_INDEX``), so outputs are
+bit-identical on every path.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def _chunks(n_a: int, n_b: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_a))
 
 
+def _emission_order(ai: np.ndarray, bj: np.ndarray, n_b: int) -> np.ndarray:
+    """Permutation putting distinct pairs in brute-force order (ai-major)."""
+    return np.argsort(ai * np.int64(n_b) + bj)
+
+
 def pair_intersections(
     a: np.ndarray,
     b: np.ndarray,
@@ -116,7 +123,8 @@ def pair_intersections(
     Pairs are emitted in ``ai``-major, ``bj``-minor order on every
     candidate path (persistent index, per-query index, or brute force),
     so downstream consumers are bit-identical across ``REPRO_PAIR_INDEX``
-    modes.
+    modes.  Indexed candidates are unordered; only the exact survivors
+    are sorted into that order.
     """
     ndim = a.shape[1] // 2
     cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
@@ -124,8 +132,9 @@ def pair_intersections(
         ai, bj = cand
         lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
         hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-        keep = (hi > lo).all(axis=1)
-        _record_exact(int(keep.sum()))
+        keep = np.flatnonzero((hi > lo).all(axis=1))
+        _record_exact(keep.size)
+        keep = keep[_emission_order(ai[keep], bj[keep], b.shape[0])]
         return (
             np.concatenate((lo[keep], hi[keep]), axis=1),
             ai[keep],
@@ -307,8 +316,9 @@ def face_contacts(
     out_area: list[np.ndarray] = []
     # Touching boxes do not *intersect*, so the face query needs the
     # closed-interval candidate set: abutting pairs cohabit a bucket too.
-    # One candidate pass serves all ndim axis filters; per-axis emission
-    # order (ai-major, bj-minor) matches the brute-force sweeps below.
+    # One candidate pass serves all ndim axis filters; each axis sorts
+    # its survivors into the brute-force sweeps' order (ai-major,
+    # bj-minor) below.
     cand = candidate_pairs(corners, corners, closed=True, b_index=index)
     if cand is not None:
         ai, bj = cand
@@ -326,8 +336,9 @@ def face_contacts(
                     lo[ii, e], lo[jj, e]
                 )
                 area *= np.clip(width, 0, None)
-            keep = area > 0
-            if keep.any():
+            keep = np.flatnonzero(area > 0)
+            if keep.size:
+                keep = keep[_emission_order(ii[keep], jj[keep], n)]
                 out_a.append(ranks[ii[keep]])
                 out_b.append(ranks[jj[keep]])
                 out_area.append(area[keep])
@@ -470,8 +481,6 @@ def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
         return base.copy()
     untouched = np.setdiff1d(np.arange(base.shape[0]), np.unique(bi))
     out: list[np.ndarray] = [base[untouched]]
-    order = np.argsort(bi, kind="stable")
-    bi, hj = bi[order], hj[order]
     starts = np.flatnonzero(np.diff(bi, prepend=-1))
     frags, _ = _subtract_groups(
         base[bi[starts]], holes[hj], np.append(starts, bi.size)
@@ -506,8 +515,6 @@ def overlay_corners(
     out_c.append(bottom[clear])
     out_r.append(bottom_ranks[clear])
     if bi.size:
-        order = np.argsort(bi, kind="stable")
-        bi, tj = bi[order], tj[order]
         starts = np.flatnonzero(np.diff(bi, prepend=-1))
         # One vectorized sweep fragments every covered bottom box at once.
         frags, fgid = _subtract_groups(

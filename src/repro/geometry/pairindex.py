@@ -26,11 +26,17 @@ the exact arithmetic runs:
   in-tree pair oracle (``None`` from :func:`candidate_pairs` tells the
   kernel to run its historical broadcast).
 
-Candidates are always deduplicated and returned in brute-force emission
-order (``ai``-major, ``bj``-minor via a sort + dedup on packed pair
-keys), so every downstream kernel produces **bit-identical** outputs on
-every path — asserted by the property suite and by the whole-step
-oracle checks in ``tests/oracles.py``.
+Candidates are **duplicate-free and unordered**.  The grid join emits a
+pair only in its *reference bucket* — the componentwise max of the two
+boxes' first cells, the one bucket both boxes are guaranteed to share
+(the reference-point method of spatial joins) — so each distinct pair
+comes out exactly once and no candidate stream is ever sorted or
+deduplicated.  Kernels that emit pairs (``pair_intersections``,
+``face_contacts``) rebuild the brute-force emission order (``ai``-major,
+``bj``-minor) on their exact survivors only; kernels that only sum skip
+ordering.  Every path therefore produces **bit-identical** outputs —
+asserted by the property suite and by the whole-step oracle checks in
+``tests/oracles.py``.
 
 The active path is selected by the ``REPRO_PAIR_INDEX`` environment
 variable (``auto`` | ``grid`` | ``sweep`` | ``bruteforce``; default
@@ -50,9 +56,9 @@ answers every kernel query against that array within a simulator step,
 and is *delta-updated* to the next step's array from the box
 add/remove diff — falling back to a full rebuild when churn exceeds
 :data:`_DELTA_CHURN_FRACTION` of the boxes.  Candidates from a
-persistent index are a superset of the two-sided candidates and are
-canonicalised through the same :func:`_canonical` packing, so every
-downstream kernel stays **bit-identical** on every path.  Reuse is not
+persistent index are a superset of the two-sided candidates, equally
+duplicate-free, so every downstream kernel stays **bit-identical** on
+every path.  Reuse is not
 switchable: ``bruteforce`` mode never builds an index, so the
 grid-vs-bruteforce diff is the reuse layer's bit-identity check.
 """
@@ -271,9 +277,10 @@ def candidate_pairs(
 
     Returns ``None`` when the caller should run its brute-force
     broadcast (``bruteforce`` mode, or ``auto`` below the small-product
-    cutoff); otherwise two int64 index arrays in canonical brute-force
-    emission order (``ai``-major, ``bj``-minor, no duplicates) that are
-    a superset of all intersecting pairs.
+    cutoff); otherwise two int64 index arrays that hold every
+    intersecting pair plus some near misses, each pair **exactly once**
+    and in no particular order.  Kernels that emit pairs order their
+    exact survivors themselves.
 
     ``closed`` treats boxes as closed intervals ``[lo, hi]`` so *abutting*
     boxes also cohabit a bucket — the face-contact query needs touching
@@ -281,10 +288,9 @@ def candidate_pairs(
 
     ``a_index`` / ``b_index`` are optional persistent :class:`PairIndex`
     objects over ``a`` / ``b``.  When an index actually covers its
-    operand (identity-checked), candidates come from
-    one one-sided probe instead of a fresh two-sided build; the result
-    goes through the same canonicalisation, so outputs are bit-identical
-    either way.
+    operand (identity-checked), candidates come from one one-sided probe
+    instead of a fresh two-sided build; the exact survivors are the
+    same either way.
     """
     n_a, n_b = a.shape[0], b.shape[0]
     _record(queries=1, pair_product=n_a * n_b)
@@ -305,13 +311,11 @@ def candidate_pairs(
     if b_index is not None and b_index.indexes(b):
         hit = b_index.query(a, closed)
         if hit is not None:
-            qi, xj = hit
-            return _canonical(qi, xj, n_b)
+            return hit
     if a_index is not None and a_index.indexes(a):
         hit = a_index.query(b, closed)
         if hit is not None:
-            qj, xi = hit
-            return _canonical(xi, qj, n_b)
+            return hit[1], hit[0]
     if mode == "sweep":
         return _sweep_candidates(a, b, closed)
     return _grid_candidates(a, b, closed)
@@ -328,49 +332,9 @@ def _single_candidates(
     else:
         hit = (a[:, None, :ndim] < b[None, :, ndim:]).all(axis=2)
         hit &= (a[:, None, ndim:] > b[None, :, :ndim]).all(axis=2)
-    ai, bj = np.nonzero(hit)  # row-major: already ai-major, bj-minor
+    ai, bj = np.nonzero(hit)
     _record(candidate_pairs=ai.size)
     return ai.astype(np.int64), bj.astype(np.int64)
-
-
-def _canonical(ai: np.ndarray, bj: np.ndarray, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dedup + sort into brute-force emission order (ai-major, bj-minor).
-
-    Explicit sort + neighbour mask instead of :func:`np.unique`: the
-    duplicated candidate streams here are an order of magnitude cheaper
-    to sort than to hash, and the result is identical.
-    """
-    if ai.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    packed = ai.astype(np.int64) * np.int64(n_b) + bj
-    packed.sort()
-    keep = np.empty(packed.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-    packed = packed[keep]
-    _record(candidate_pairs=packed.size)
-    return packed // n_b, packed % n_b
-
-
-def _sorted_groups(
-    keys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unique keys, group start, group count)`` of a pre-sorted array.
-
-    Equivalent to ``np.unique(keys, return_index=True,
-    return_counts=True)`` but skips the redundant hash/sort pass — the
-    callers sorted ``keys`` already.
-    """
-    if keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return keys[:0], empty, empty
-    boundary = np.empty(keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    counts = np.diff(np.append(starts, keys.size))
-    return keys[starts], starts, counts
 
 
 def _grid_candidates(
@@ -405,53 +369,94 @@ def _grid_candidates(
     strides = np.ones(ndim, dtype=np.int64)
     for d in range(ndim - 2, -1, -1):
         strides[d] = strides[d + 1] * dims[d + 1]
-    ka, ia = _cell_keys(lo_cell[: a.shape[0]], spans[: a.shape[0]], strides)
-    kb, ib = _cell_keys(lo_cell[a.shape[0]:], spans[a.shape[0]:], strides)
-    order_a = np.argsort(ka, kind="stable")
-    order_b = np.argsort(kb, kind="stable")
-    ka, ia = ka[order_a], ia[order_a]
-    kb, ib = kb[order_b], ib[order_b]
-    ua, start_a, count_a = _sorted_groups(ka)
-    ub, start_b, count_b = _sorted_groups(kb)
-    _, pa, pb = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    if pa.size == 0:
+    n_a = a.shape[0]
+    buckets = _Buckets(*_cell_keys(lo_cell[n_a:], spans[n_a:], strides))
+    return buckets.join(*_cell_keys(lo_cell[:n_a], spans[:n_a], strides), ndim)
+
+
+class _Buckets:
+    """Grid incidences sorted by cell key and grouped per bucket."""
+
+    __slots__ = ("keys", "rows", "first", "ukeys", "ustart", "ucount")
+
+    def __init__(self, keys: np.ndarray, rows: np.ndarray, first: np.ndarray):
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.rows, self.first = keys[order], rows[order], first[order]
+        starts = np.ones(self.keys.size, dtype=bool)
+        np.not_equal(self.keys[1:], self.keys[:-1], out=starts[1:])
+        self.ustart = np.flatnonzero(starts)
+        self.ucount = np.diff(np.append(self.ustart, self.keys.size))
+        self.ukeys = self.keys[self.ustart]
+
+    def join(
+        self, qkeys: np.ndarray, qrows: np.ndarray, qfirst: np.ndarray, ndim: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Duplicate-free join of query incidences against the buckets.
+
+        Every query incidence is paired with the incidences of its
+        bucket, and a pair is kept only in its *reference bucket*: the
+        componentwise max of the two boxes' first cells.  A shared
+        bucket is that max on axis ``d`` exactly when it is the first
+        cell of either box there, so the test is ``(qfirst | first) ==
+        all axes``.  Both boxes touch the reference bucket whenever they
+        share any bucket, so every pair the buckets join comes out once.
+        Returns ``(query row, bucketed row)``.
+        """
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    ca, cb = count_a[pa], count_b[pb]
-    sa, sb = start_a[pa], start_b[pb]
-    block = ca * cb  # pairs per shared bucket
-    starts = np.concatenate(([0], np.cumsum(block)[:-1]))
-    total = int(block.sum())
-    gid = np.repeat(np.arange(block.size), block)
-    t = np.arange(total, dtype=np.int64) - np.repeat(starts, block)
-    ai = ia[sa[gid] + t // cb[gid]]
-    bj = ib[sb[gid] + t % cb[gid]]
-    return _canonical(ai, bj, b.shape[0])
+        if self.ukeys.size == 0 or qkeys.size == 0:
+            return empty, empty
+        pos = np.searchsorted(self.ukeys, qkeys)
+        np.minimum(pos, self.ukeys.size - 1, out=pos)
+        count = np.where(self.ukeys[pos] == qkeys, self.ucount[pos], 0)
+        total = int(count.sum())
+        if total == 0:
+            return empty, empty
+        # Position of each raw (query incidence, bucketed incidence)
+        # pair in the sorted incidences.
+        x = np.arange(total, dtype=np.int64)
+        x += np.repeat(self.ustart[pos] - (np.cumsum(count) - count), count)
+        keep = (np.repeat(qfirst, count) | self.first[x]) == (1 << ndim) - 1
+        xj = self.rows[x[keep]]
+        _record(candidate_pairs=xj.size)
+        return np.repeat(qrows, count)[keep], xj
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for every ``c`` in ``counts``, concatenated."""
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def _cell_keys(
     lo_cell: np.ndarray, spans: np.ndarray, strides: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(packed cell key, box id)`` per (cell, box) incidence.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(packed cell key, box id, first-cell mask)`` per (cell, box) incidence.
 
-    Vectorized mixed-radix enumeration: every box emits one row per grid
-    cell it touches, keys packed with the global grid strides.
+    Every box emits one row per grid cell it touches (box-major, then
+    row-major over its cells), keys packed with the global grid strides.
+    Bit ``d`` of the mask is set when the cell is the box's first cell
+    (``lo_cell``) on axis ``d``.  The cells are enumerated one axis at a
+    time by repeating the rows so far ``spans[:, d]`` times each — no
+    integer division.
     """
     n, ndim = lo_cell.shape
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    counts = np.prod(spans, axis=1, dtype=np.int64)
-    total = int(counts.sum())
-    box_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rem = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    keys = np.zeros(total, dtype=np.int64)
-    for d in range(ndim - 1, -1, -1):
-        radix = spans[box_ids, d]
-        keys += (lo_cell[box_ids, d] + rem % radix) * strides[d]
-        rem //= radix
-    return keys, box_ids
+    mask_dtype = np.min_scalar_type((1 << ndim) - 1)
+    keys = lo_cell @ strides
+    rows = np.arange(n, dtype=np.int64)
+    first = np.zeros(n, dtype=mask_dtype)
+    for d in range(ndim):
+        radix = spans[rows, d]
+        bit = mask_dtype.type(1 << d)
+        if (radix == 1).all():
+            first |= bit
+            continue
+        digit = _ramp(radix)
+        keys = np.repeat(keys, radix) + digit * strides[d]
+        rows = np.repeat(rows, radix)
+        first = np.repeat(first, radix)
+        first[digit == 0] |= bit
+    return keys, rows, first
 
 
 def _sweep_candidates(
@@ -465,7 +470,6 @@ def _sweep_candidates(
     """
     _record(sweep_queries=1)
     ndim = a.shape[1] // 2
-    n_a, n_b = a.shape[0], b.shape[0]
     # Most selective axis: largest corner spread relative to the median
     # extent — the axis along which intervals separate best.
     lo_all = np.concatenate((a[:, :ndim], b[:, :ndim]))
@@ -476,8 +480,7 @@ def _sweep_candidates(
     a_lo, a_hi = a[:, axis], a[:, ndim + axis]
     b_lo, b_hi = b[:, axis], b[:, ndim + axis]
     order = np.argsort(b_lo, kind="stable")
-    ii, jj = _sweep_join(a_lo, a_hi, b_lo[order], b_hi[order], order, closed)
-    return _canonical(ii, jj, n_b)
+    return _sweep_join(a_lo, a_hi, b_lo[order], b_hi[order], order, closed)
 
 
 def _sweep_join(
@@ -490,8 +493,8 @@ def _sweep_join(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chunked interval join against pre-sorted ``b`` intervals.
 
-    Returns raw ``(ai, bj)`` pairs (``bj`` in original ``b`` row
-    numbers, possibly unsorted) — callers canonicalise.  Shared by the
+    Returns ``(ai, bj)`` pairs, each once (``bj`` in original ``b`` row
+    numbers, unsorted within an ``ai``).  Shared by the
     one-shot sweep path and :class:`PairIndex`'s persistent sweep kind.
     """
     n_a = a_lo.shape[0]
@@ -509,11 +512,9 @@ def _sweep_join(
         )
         end = max(start + 1, min(end, n_a))
         counts = upper[start:end]
-        total = int(counts.sum())
-        if total:
+        if counts.any():
             ii = np.repeat(np.arange(start, end, dtype=np.int64), counts)
-            offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            jj = np.arange(total, dtype=np.int64) - np.repeat(offs, counts)
+            jj = _ramp(counts)
             keep = b_hi_s[jj] >= a_lo[ii] if closed else b_hi_s[jj] > a_lo[ii]
             out_i.append(ii[keep])
             out_j.append(order[jj[keep]])
@@ -521,6 +522,7 @@ def _sweep_join(
     if not out_i:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    _record(candidate_pairs=sum(i.size for i in out_i))
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
@@ -551,10 +553,10 @@ class PairIndex:
     that reuses the surviving incidences instead of re-bucketing
     everything.
 
-    A probe returns a candidate **superset** in raw order; callers run
-    it through :func:`_canonical`, so results are bit-identical to the
-    two-sided per-query path (the candidate sets may differ — the exact
-    arithmetic downstream erases the difference).
+    A probe returns a duplicate-free, unordered candidate **superset**:
+    the exact survivors equal those of the two-sided per-query path (the
+    candidate sets may differ — the exact arithmetic downstream erases
+    the difference).
     """
 
     __slots__ = (
@@ -565,11 +567,7 @@ class PairIndex:
         "_cell",
         "_dims",
         "_strides",
-        "_keys",
-        "_rows",
-        "_ukeys",
-        "_ustart",
-        "_ucount",
+        "_buckets",
         "_axis",
         "_order",
         "_lo_s",
@@ -581,8 +579,7 @@ class PairIndex:
         self._ext = corners
         self._n = int(corners.shape[0])
         self._cell = self._dims = self._strides = None
-        self._keys = self._rows = None
-        self._ukeys = self._ustart = self._ucount = None
+        self._buckets = None
         self._axis = None
         self._order = self._lo_s = self._hi_s = None
         if self._n == 0:
@@ -633,10 +630,9 @@ class PairIndex:
         strides = np.ones(ndim, dtype=np.int64)
         for d in range(ndim - 2, -1, -1):
             strides[d] = strides[d + 1] * dims[d + 1]
-        keys, rows = _cell_keys(lo_cell, spans, strides)
         self._kind = "grid"
         self._cell, self._dims, self._strides = cell, dims, strides
-        self._set_incidences(keys, rows.astype(np.int64))
+        self._buckets = _Buckets(*_cell_keys(lo_cell, spans, strides))
         return True
 
     @staticmethod
@@ -652,12 +648,6 @@ class PairIndex:
         lo_cell = np.clip(lo // cell, 0, dims - 1)
         hi_cell = np.clip(hi // cell, 0, dims - 1)
         return lo_cell, hi_cell - lo_cell + 1
-
-    def _set_incidences(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._rows = rows[order]
-        self._ukeys, self._ustart, self._ucount = _sorted_groups(self._keys)
 
     def _build_sweep(self) -> None:
         corners = self._ext
@@ -689,8 +679,7 @@ class PairIndex:
         ``None`` means the probe declined (query-side bucket incidences
         would explode) and the caller should fall back to the two-sided
         per-query path.  Pairs are a superset of all intersecting
-        (``closed``: touching) pairs, unordered and possibly duplicated
-        — callers canonicalise.
+        (``closed``: touching) pairs, each exactly once, unordered.
         """
         if self._kind == "empty":
             empty = np.empty(0, dtype=np.int64)
@@ -719,25 +708,9 @@ class PairIndex:
         if incidences > _GRID_INCIDENCE_FACTOR * q.shape[0] + 1024:
             return None
         _record(grid_queries=1, index_reuses=1)
-        qkeys, qrows = _cell_keys(lo_cell, spans, self._strides)
-        order = np.argsort(qkeys, kind="stable")
-        qkeys, qrows = qkeys[order], qrows[order]
-        uq, qstart, qcount = _sorted_groups(qkeys)
-        _, pq, px = np.intersect1d(
-            uq, self._ukeys, assume_unique=True, return_indices=True
+        qi, xj = self._buckets.join(
+            *_cell_keys(lo_cell, spans, self._strides), ndim
         )
-        if pq.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        cq, cx = qcount[pq], self._ucount[px]
-        sq, sx = qstart[pq], self._ustart[px]
-        block = cq * cx
-        starts = np.concatenate(([0], np.cumsum(block)[:-1]))
-        total = int(block.sum())
-        gid = np.repeat(np.arange(block.size), block)
-        t = np.arange(total, dtype=np.int64) - np.repeat(starts, block)
-        qi = qrows[sq[gid] + t // cx[gid]]
-        xj = self._rows[sx[gid] + t % cx[gid]]
         if row_map is not None:
             qi = row_map[qi]
         return qi, xj
@@ -779,8 +752,7 @@ class PairIndex:
         new._n = n_new
         new._kind = self._kind
         new._cell = new._dims = new._strides = None
-        new._keys = new._rows = None
-        new._ukeys = new._ustart = new._ucount = None
+        new._buckets = None
         new._axis = None
         new._order = new._lo_s = new._hi_s = None
         if self._kind == "sweep":
@@ -793,10 +765,12 @@ class PairIndex:
         # added boxes on the same domain-anchored grid.
         remap = np.full(self._n, -1, dtype=np.int64)
         remap[old_idx] = new_idx
-        mapped = remap[self._rows]
+        old = self._buckets
+        mapped = remap[old.rows]
         keep = mapped >= 0
-        kept_keys = self._keys[keep]
+        kept_keys = old.keys[keep]
         kept_rows = mapped[keep]
+        kept_first = old.first[keep]
         added_rows = np.setdiff1d(
             np.arange(n_new, dtype=np.int64), new_idx, assume_unique=True
         )
@@ -804,16 +778,19 @@ class PairIndex:
         lo = new_corners[added_rows, :ndim]
         hi = new_corners[added_rows, ndim:]
         lo_cell, spans = self._incidence_cells(lo, hi, self._cell, self._dims)
-        add_keys, add_local = _cell_keys(lo_cell, spans, self._strides)
+        add_keys, add_local, add_first = _cell_keys(
+            lo_cell, spans, self._strides
+        )
         total = kept_keys.size + add_keys.size
         if total > _GRID_INCIDENCE_FACTOR * n_new + 1024:
             # Added boxes degenerate enough to blow the incidence budget
             # — rebuild from scratch (which may pick the sweep kind).
             return PairIndex(self.shape, new_corners)
         new._cell, new._dims, new._strides = self._cell, self._dims, self._strides
-        new._set_incidences(
+        new._buckets = _Buckets(
             np.concatenate((kept_keys, add_keys)),
             np.concatenate((kept_rows, added_rows[add_local])),
+            np.concatenate((kept_first, add_first)),
         )
         _record(delta_updates=1)
         return new

@@ -147,28 +147,25 @@ def _merge_unit_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge same-rank unit cells into runs along the last axis.
 
-    ``coords`` is ``(k, ndim)`` integer cell coordinates (any order,
-    no duplicates) with a rank per cell; returns ``(corners, ranks)``
-    of maximal row-major runs — the sparse replacement for lifting a
-    dense unit-owner raster through ``boxes_from_labels``.
+    ``coords`` is ``(k, ndim)`` integer cell coordinates, distinct and
+    in row-major order (as ``np.nonzero`` enumerates them), with a rank
+    per cell; returns ``(corners, ranks)`` of maximal row-major runs —
+    the sparse replacement for lifting a dense unit-owner raster through
+    ``boxes_from_labels``.
     """
     k, ndim = coords.shape
     if k == 0:
         return np.empty((0, 2 * ndim), dtype=np.int64), ranks[:0]
-    # Row-major: axis 0 is the primary sort key (lexsort's last key).
-    order = np.lexsort(tuple(coords[:, d] for d in range(ndim - 1, -1, -1)))
-    c = coords[order]
-    r = ranks[order]
     breaks = np.ones(k, dtype=bool)
     breaks[1:] = (
-        (r[1:] != r[:-1])
-        | (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
-        | (c[1:, -1] != c[:-1, -1] + 1)
+        (ranks[1:] != ranks[:-1])
+        | (coords[1:, :-1] != coords[:-1, :-1]).any(axis=1)
+        | (coords[1:, -1] != coords[:-1, -1] + 1)
     )
     starts = np.flatnonzero(breaks)
     ends = np.append(starts[1:], k)
-    corners = np.concatenate((c[starts], c[ends - 1] + 1), axis=1)
-    return corners.astype(np.int64), r[starts]
+    corners = np.concatenate((coords[starts], coords[ends - 1] + 1), axis=1)
+    return corners.astype(np.int64), ranks[starts]
 
 
 class NaturePlusFable(Partitioner):
@@ -312,8 +309,8 @@ class NaturePlusFable(Partitioner):
         sparsely and merged into same-rank runs — no owner raster.
         """
         unit_w = np.where(mask, 1.0, 0.0)
-        coords, seq_rank = self._assign_units(unit_w, ranks)
-        corners, run_ranks = _merge_unit_runs(coords, seq_rank)
+        coords, cell_rank = self._assign_units(unit_w, ranks)
+        corners, run_ranks = _merge_unit_runs(coords, cell_rank)
         if corners.shape[0]:
             parts[0].append((corners, run_ranks))
 
@@ -374,10 +371,10 @@ class NaturePlusFable(Partitioner):
                     )
             if not (unit_w > 0).any():
                 continue
-            coords, seq_rank = self._assign_units(
+            coords, cell_rank = self._assign_units(
                 unit_w, ranks, origin=win_lo, unit_shape=unit_shape
             )
-            unit_box_corners, unit_ranks = _merge_unit_runs(coords, seq_rank)
+            unit_box_corners, unit_ranks = _merge_unit_runs(coords, cell_rank)
             unit_corners = unit_box_corners * unit
             # Paint every member level of the bi-level from one decomposition.
             for lf in lf_range:
@@ -402,8 +399,9 @@ class NaturePlusFable(Partitioner):
         SFC ordering) and ``unit_shape`` the full grid's extents (fixing
         the curve's order bits), so a windowed call assigns exactly what
         a full-grid call would.  Only units with positive weight are
-        enumerated — ``(k, ndim)`` coordinates in SFC order plus a rank
-        per unit; no dense owner raster exists at any point.  Every cell
+        enumerated — ``(k, ndim)`` coordinates in row-major order plus a
+        rank per unit (assigned along the SFC order); no dense owner
+        raster exists at any point.  Every cell
         the bi-level must own lies in a unit with positive weight (the
         weights are integer counts times positive level weights).
         """
@@ -421,5 +419,6 @@ class NaturePlusFable(Partitioner):
             order=order_bits,
         )
         seq_w = unit_w[nonzero][order]
-        seq_rank = _assign_sequence(seq_w, ranks, p.q)
-        return coords[order], seq_rank
+        row_rank = np.empty(order.size, dtype=np.int32)
+        row_rank[order] = _assign_sequence(seq_w, ranks, p.q)
+        return coords, row_rank

@@ -12,6 +12,11 @@ The straightforward versions that path replaced live here, as oracles:
   :func:`~repro.geometry.overlay_corners`;
 * :func:`clip_to_parents_reference`, the hierarchy build's clip step
   with the re-disjointification it no longer runs;
+* :func:`canonical_candidate_pairs`, the pair index's bucket join as it
+  was before the reference-bucket rule: every pair once per shared
+  bucket, then sorted and deduplicated;
+* :func:`lexsort_merge_unit_runs`, Nature+Fable's unit-run merge on
+  cells in any order (it sorts them row-major first);
 * :func:`rm2d_reference_advance`, the rm2d Rusanov step on ghost-padded
   state stacks, with the primitives re-derived for every use;
 * :func:`check_step`, the whole-step check: one simulator step must
@@ -24,6 +29,7 @@ them only at test scales.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -248,6 +254,63 @@ def result_from_rasters(rasters, nprocs: int):
         maps=tuple(OwnerMap.from_raster(np.asarray(r, np.int32)) for r in rasters),
         nprocs=nprocs,
     )
+
+
+# ---------------------------------------------------------------------------
+# pair-index candidates
+
+
+def canonical_candidate_pairs(
+    a_cells: np.ndarray, b_cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of boxes sharing a grid bucket, sorted ``ai``-major, no repeats.
+
+    ``a_cells`` / ``b_cells`` are ``(n, 2*k)`` rows of *inclusive* cell
+    ranges ``[first..., last...]`` on a ``k``-d bucket grid.  Every
+    ``a`` incidence is joined with every ``b`` incidence of its bucket,
+    so a pair sharing several buckets is emitted several times; the
+    packed keys are then sorted and deduplicated.
+    """
+    k = a_cells.shape[1] // 2
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for j, row in enumerate(b_cells.tolist()):
+        for cell in product(*(range(row[d], row[k + d] + 1) for d in range(k))):
+            buckets.setdefault(cell, []).append(j)
+    raw = [
+        i * b_cells.shape[0] + j
+        for i, row in enumerate(a_cells.tolist())
+        for cell in product(*(range(row[d], row[k + d] + 1) for d in range(k)))
+        for j in buckets.get(cell, ())
+    ]
+    packed = np.unique(np.asarray(raw, dtype=np.int64))
+    return packed // max(1, b_cells.shape[0]), packed % max(1, b_cells.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# Nature+Fable unit runs
+
+
+def lexsort_merge_unit_runs(
+    coords: np.ndarray, ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal same-rank runs along the last axis, cells in any order."""
+    k, ndim = coords.shape
+    if k == 0:
+        return np.empty((0, 2 * ndim), dtype=np.int64), ranks[:0]
+    # Row-major: axis 0 is the primary sort key (lexsort's last key).
+    order = np.lexsort(tuple(coords[:, d] for d in range(ndim - 1, -1, -1)))
+    c = coords[order]
+    r = ranks[order]
+    breaks = np.ones(k, dtype=bool)
+    breaks[1:] = (
+        (r[1:] != r[:-1])
+        | (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
+        | (c[1:, -1] != c[:-1, -1] + 1)
+    )
+    starts = np.flatnonzero(breaks)
+    ends = np.append(starts[1:], k)
+    corners = np.concatenate((c[starts], c[ends - 1] + 1), axis=1)
+    return corners.astype(np.int64), r[starts]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.geometry import Box, BoxList
+from repro.hierarchy import GridHierarchy, PatchLevel
 
 
 def boxes_nd(ndim: int = 2, max_coord: int = 32, allow_empty: bool = False):
@@ -53,3 +54,32 @@ def disjoint_boxlists(max_boxes: int = 6, max_coord: int = 24, ndim: int = 2):
         return BoxList(out)
 
     return build()
+
+
+@st.composite
+def nested_hierarchies(draw, ndim: int = 2):
+    """Random properly-nested factor-2 hierarchies."""
+    side = draw(st.sampled_from([4, 8]))
+    domain = Box((0,) * ndim, (side,) * ndim)
+    levels = [PatchLevel(0, [domain], ratio=1)]
+    parent = BoxList([domain])
+    depth = draw(st.integers(min_value=1, max_value=2))
+    for l in range(1, depth + 1):
+        refined_parent = parent.refine(2)
+        raw = draw(
+            disjoint_boxlists(
+                max_boxes=4, max_coord=side * 2**l, ndim=ndim
+            )
+        )
+        clipped: list[Box] = []
+        for b in raw:
+            for p in refined_parent:
+                piece = b.intersect(p)
+                if piece is not None:
+                    clipped.append(piece)
+        patches = BoxList(clipped).disjointified().coalesced()
+        if patches.ncells == 0:
+            break
+        levels.append(PatchLevel(l, patches, ratio=2))
+        parent = patches
+    return GridHierarchy(domain, levels)

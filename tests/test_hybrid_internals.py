@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import NO_OWNER, Box
 from repro.hierarchy import GridHierarchy, PatchLevel
-from repro.partition import NatureFableParams, NaturePlusFable
-from repro.partition.hybrid import _assign_sequence
+from repro.partition import NatureFableParams, NaturePlusFable, hybrid
+from repro.partition.hybrid import _assign_sequence, _merge_unit_runs
+
+from tests.oracles import lexsort_merge_unit_runs
+from tests.strategies import nested_hierarchies
 
 
 def two_core_hierarchy() -> GridHierarchy:
@@ -142,3 +148,49 @@ class TestBilevels:
         h = self.deep_hierarchy()
         res = NaturePlusFable(NatureFableParams(bilevel_size=3)).partition(h, 4)
         res.validate(h)
+
+
+class TestUnitMerge:
+    """The sort-free unit merge equals the lexsort oracle bit for bit."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_row_major_cells_match_oracle(self, ndim, data):
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        mask = rng.random((6,) * ndim) < data.draw(st.floats(0.0, 1.0))
+        coords = np.argwhere(mask).astype(np.int64)  # row-major
+        ranks = rng.integers(0, 3, size=coords.shape[0]).astype(np.int32)
+        got = _merge_unit_runs(coords, ranks)
+        want = lexsort_merge_unit_runs(coords, ranks)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("balance", [False, True], ids=["default", "balance"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_owner_maps_match_oracle(self, ndim, balance, data):
+        """Whole partitions: corners, ranks and row order unchanged when
+        the merge is the oracle fed the same cells in a shuffled order."""
+        hierarchy = data.draw(nested_hierarchies(ndim))
+        nprocs = data.draw(st.sampled_from([1, 3, 8]))
+        params = NatureFableParams()
+        if balance:
+            params = params.balance_focused()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+
+        def shuffled_oracle(coords, ranks):
+            perm = rng.permutation(coords.shape[0])
+            return lexsort_merge_unit_runs(coords[perm], ranks[perm])
+
+        got = NaturePlusFable(params).partition(hierarchy, nprocs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hybrid, "_merge_unit_runs", shuffled_oracle)
+            want = NaturePlusFable(params).partition(hierarchy, nprocs)
+        got.validate(hierarchy)
+        for g, w in zip(got.maps, want.maps, strict=True):
+            np.testing.assert_array_equal(g.corners, w.corners)
+            np.testing.assert_array_equal(g.ranks, w.ranks)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     Box,
-    BoxList,
     NO_OWNER,
     OwnerMap,
     face_contacts,
@@ -30,7 +29,6 @@ from repro.geometry import (
     rasterize_owners,
     reset_pair_index_counters,
 )
-from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
     DomainSfcPartitioner,
     NaturePlusFable,
@@ -56,7 +54,7 @@ from tests.oracles import (
     dense_per_rank_comm_cells,
     result_from_rasters,
 )
-from tests.strategies import disjoint_boxlists
+from tests.strategies import disjoint_boxlists, nested_hierarchies
 
 
 def owner_rasters(ndim: int, side: int, nprocs: int = 4):
@@ -69,35 +67,6 @@ def owner_rasters(ndim: int, side: int, nprocs: int = 4):
         return raster
 
     return st.builds(build, st.integers(0, 2**31 - 1))
-
-
-@st.composite
-def nested_hierarchies(draw, ndim: int = 2):
-    """Random properly-nested factor-2 hierarchies."""
-    side = draw(st.sampled_from([4, 8]))
-    domain = Box((0,) * ndim, (side,) * ndim)
-    levels = [PatchLevel(0, [domain], ratio=1)]
-    parent = BoxList([domain])
-    depth = draw(st.integers(min_value=1, max_value=2))
-    for l in range(1, depth + 1):
-        refined_parent = parent.refine(2)
-        raw = draw(
-            disjoint_boxlists(
-                max_boxes=4, max_coord=side * 2**l, ndim=ndim
-            )
-        )
-        clipped: list[Box] = []
-        for b in raw:
-            for p in refined_parent:
-                piece = b.intersect(p)
-                if piece is not None:
-                    clipped.append(piece)
-        patches = BoxList(clipped).disjointified().coalesced()
-        if patches.ncells == 0:
-            break
-        levels.append(PatchLevel(l, patches, ratio=2))
-        parent = patches
-    return GridHierarchy(domain, levels)
 
 
 class TestRoundTrip:

@@ -28,6 +28,8 @@ from repro.experiments import paper_trace
 from repro.geometry import (
     PairIndex,
     box_corners,
+    candidate_pairs,
+    face_contacts,
     overlay_corners,
     pair_counters_scope,
     pair_index_counters,
@@ -39,6 +41,7 @@ from repro.geometry import (
 from repro.simulator import TraceSimulator
 
 from tests.oracles import (
+    canonical_candidate_pairs,
     check_step,
     sequential_overlay_corners,
     sequential_subtract_corners,
@@ -254,6 +257,132 @@ def test_chained_delta_updates_stay_correct():
             assert got is None or (
                 got >= want and _filter_exact(got, q, corners, False) == want
             )
+
+
+# ---------------------------------------------------------------------------
+# the duplicate-free bucket join vs the sort-and-dedup formulation
+
+
+def _bucket_cells(
+    corners: np.ndarray, cell: np.ndarray, closed: bool, dims=None
+) -> np.ndarray:
+    """Inclusive bucket ranges ``[first..., last...]`` of corner rows."""
+    ndim = corners.shape[1] // 2
+    lo = corners[:, :ndim] // cell
+    hi = (corners[:, ndim:] - (0 if closed else 1)) // cell
+    if dims is not None:
+        lo, hi = np.clip(lo, 0, dims - 1), np.clip(hi, 0, dims - 1)
+    return np.concatenate((lo, hi), axis=1)
+
+
+def _probe_cells(index: PairIndex, q: np.ndarray, x: np.ndarray, closed: bool):
+    """Bucket ranges a probe of ``index`` (over ``x``) joins ``q`` on."""
+    ndim = q.shape[1] // 2
+    if index.kind == "sweep":
+        # Unit buckets along the sweep axis: the sweep keeps exactly the
+        # pairs whose extents meet there.
+        axis = [index._axis, ndim + index._axis]
+        one = np.ones(1, dtype=np.int64)
+        return (
+            _bucket_cells(q[:, axis], one, closed),
+            _bucket_cells(x[:, axis], one, closed),
+        )
+    # The index stores closed incidences whatever the probe's semantics.
+    return (
+        _bucket_cells(q, index._cell, closed, index._dims),
+        _bucket_cells(x, index._cell, True, index._dims),
+    )
+
+
+def _assert_same_stream(got, want) -> None:
+    """``got`` holds each of ``want``'s pairs exactly once, in any order."""
+    pairs = list(zip(got[0].tolist(), got[1].tolist()))
+    assert len(pairs) == len(set(pairs)), "a candidate pair was repeated"
+    assert set(pairs) == set(zip(want[0].tolist(), want[1].tolist()))
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_candidates_are_the_deduplicated_bucket_join(ndim, data):
+    """Each path emits the sort-and-dedup candidate set, each pair once.
+
+    Covers fresh and delta-updated grid indexes and the sweep kind, each
+    probed from either operand's side, and the two-sided grid join, for
+    open and closed queries; the ``candidate_pairs`` counter is charged
+    the oracle's count.
+    """
+    old, new = data.draw(update_sequences(ndim))
+    q = data.draw(corner_arrays(ndim, max_boxes=10))
+    shape = tuple([32] * ndim)
+    with pair_index_forced("grid"):
+        indexes = [PairIndex(shape, new), PairIndex(shape, old).updated_to(new)]
+    with pair_index_forced("sweep"):
+        indexes.append(PairIndex(shape, new))
+    both_indexed = q.shape[0] > 1 and new.shape[0] > 1
+    for closed in (False, True):
+        for index in indexes:
+            if index.kind == "empty":
+                continue
+            want = canonical_candidate_pairs(*_probe_cells(index, q, new, closed))
+            hit = index.query(q, closed)
+            if hit is None:  # probe declined: callers fall back per-query
+                continue
+            _assert_same_stream(hit, want)
+            if not both_indexed:  # one-row operands skip the index
+                continue
+            with pair_index_forced(index.kind):
+                with pair_counters_scope() as counters:
+                    ai, bj = candidate_pairs(q, new, closed, b_index=index)
+                _assert_same_stream((ai, bj), want)
+                assert counters.candidate_pairs == want[0].size
+                xi, qj = candidate_pairs(new, q, closed, a_index=index)
+                _assert_same_stream((qj, xi), want)
+        if not both_indexed:
+            continue
+        lo = np.concatenate((q[:, :ndim], new[:, :ndim]))
+        hi = np.concatenate((q[:, ndim:], new[:, ndim:]))
+        cell = np.maximum(1, np.median(hi - lo, axis=0).astype(np.int64))
+        want = canonical_candidate_pairs(
+            _bucket_cells(q, cell, closed), _bucket_cells(new, cell, closed)
+        )
+        with pair_index_forced("grid"):
+            with pair_counters_scope() as counters:
+                got = candidate_pairs(q, new, closed)
+        _assert_same_stream(got, want)
+        assert counters.grid_queries == 1
+        assert counters.candidate_pairs == want[0].size
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_survivor_order_matches_bruteforce(ndim, data):
+    """Unordered candidates still yield the brute-force emission order.
+
+    One rank per box makes the order of ``face_contacts``' rank columns
+    show the pair order itself; both pair-emitting kernels are checked
+    on every indexed path, including a persistent index.
+    """
+    boxes = data.draw(disjoint_boxlists(max_boxes=8, max_coord=24, ndim=ndim))
+    corners = box_corners(boxes, ndim)
+    other = data.draw(corner_arrays(ndim, max_boxes=10))
+    ranks = np.arange(corners.shape[0], dtype=np.int32)
+    with pair_index_forced("bruteforce"):
+        want_faces = face_contacts(corners, ranks)
+        want_pairs = pair_intersections(other, corners)
+    for mode in ("grid", "sweep"):
+        with pair_index_forced(mode):
+            index = PairIndex(tuple([32] * ndim), corners)
+            other_index = PairIndex(tuple([32] * ndim), other)
+            for kwargs in ({}, {"index": index}):
+                got = face_contacts(corners, ranks, **kwargs)
+                for g, w in zip(got, want_faces):
+                    np.testing.assert_array_equal(g, w)
+            for kwargs in ({}, {"b_index": index}, {"a_index": other_index}):
+                got = pair_intersections(other, corners, **kwargs)
+                for g, w in zip(got, want_pairs):
+                    np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
