@@ -189,47 +189,82 @@ def _resample(array: np.ndarray, target: tuple[int, ...], reduce: str) -> np.nda
     return out
 
 
-def _flag_window(
+def _buffered_flag_window(
     flagged: np.ndarray,
     shape: tuple[int, ...],
     win_lo: tuple[int, ...],
     win_hi: tuple[int, ...],
+    width: int,
 ) -> np.ndarray:
-    """Resampled boolean flags restricted to a level-space window.
+    """Resampled, ``width``-buffered boolean flags in a level-space window.
 
     ``flagged`` is the thresholded shadow-resolution boolean; the window
     ``[win_lo, win_hi)`` lives in the level's index space ``shape`` and
-    must be aligned to each upsampled axis's resample factor.  Cropping
-    the source first commutes exactly with :func:`_resample` (per-axis
-    repeat / block-``any`` are local), so this equals the window slice of
-    the full-level resample without materializing it.
+    must be aligned to each upsampled axis's resample factor.  The result
+    equals the window slice of ``buffer_flags(_resample(flagged, shape),
+    width)`` (dilation clipped at the window edges) without materializing
+    the full level:
+
+    * Cropping the source first commutes exactly with :func:`_resample`
+      (per-axis repeat / block-``any`` are local).
+    * Chebyshev dilation is separable per axis, and on an axis upsampled
+      by ``f`` it commutes with the repeat when ``f`` divides ``width``:
+      ``dilate_w(repeat_f(x)) == repeat_f(dilate_{w/f}(x))``.  The window
+      is aligned to ``f`` and a max filter's ``reflect`` edge equals
+      ``clip``, so the identity holds at the window edges too.  Such axes
+      are dilated at the shadow resolution and repeated afterwards; every
+      other axis is resampled first and dilated at level resolution.
     """
     crop = flagged
-    for axis in range(flagged.ndim):
+    win_shape = tuple(h - l for l, h in zip(win_lo, win_hi))
+    mid_shape: list[int] = []
+    widths: list[int] = []
+    for axis, extent in enumerate(win_shape):
         src, dst = flagged.shape[axis], shape[axis]
         if dst >= src:
             f = dst // src
             sl = slice(win_lo[axis] // f, win_hi[axis] // f)
         else:
+            f = 1
             g = src // dst
             sl = slice(win_lo[axis] * g, win_hi[axis] * g)
         crop = crop[(slice(None),) * axis + (sl,)]
-    win_shape = tuple(h - l for l, h in zip(win_lo, win_hi))
-    return _resample(crop, win_shape, reduce="any")
+        coarse = f > 1 and width % f == 0
+        mid_shape.append(extent // f if coarse else extent)
+        widths.append(width // f if coarse else width)
+    flags = _resample(crop, tuple(mid_shape), reduce="any")
+    if width:
+        flags = buffer_flags(flags, tuple(widths))
+    return _resample(flags, win_shape, reduce="any")
+
+
+#: Cluster x parent pairs per broadcast chunk of :func:`_clip_to_parents`.
+_CLIP_CHUNK = 1 << 16
 
 
 def _clip_to_parents(clusters: list[Box], parents: BoxList) -> BoxList:
-    """Clip clusters to the parents (exact nesting), then coalesce.
+    """Clip clusters to the parents (exact nesting), uncoalesced.
 
-    Both sets are disjoint — Berger--Rigoutsos bisects, the parents are
-    a finished level — so the pieces are too and need no disjointify.
+    Intersects every cluster with every parent on corner arrays and
+    emits the non-empty pieces cluster-major, then parent — the order of
+    the nested ``Box.intersect`` loop.  Both sets are disjoint —
+    Berger--Rigoutsos bisects, the parents are a finished level — so the
+    pieces are too, which is what :meth:`BoxList.coalesced` requires.
     """
-    return BoxList(
-        piece
-        for box in clusters
-        for parent in parents
-        if (piece := box.intersect(parent)) is not None
-    ).coalesced()
+    if not clusters or not len(parents):
+        return BoxList()
+    ndim = clusters[0].ndim
+    c = np.array([b.lo + b.hi for b in clusters], dtype=np.int64)
+    p = np.array([b.lo + b.hi for b in parents], dtype=np.int64)
+    step = max(1, _CLIP_CHUNK // len(p))
+    rows: list[list[int]] = []
+    for s in range(0, len(c), step):
+        chunk = c[s : s + step, None, :]
+        lo = np.maximum(chunk[..., :ndim], p[None, :, :ndim])
+        hi = np.minimum(chunk[..., ndim:], p[None, :, ndim:])
+        ci, pj = np.nonzero((lo < hi).all(axis=2))
+        rows.extend(np.concatenate((lo[ci, pj], hi[ci, pj]), axis=1).tolist())
+    return BoxList(Box(tuple(r[:ndim]), tuple(r[ndim:])) for r in rows)
 
 
 def build_hierarchy(
@@ -290,30 +325,34 @@ def build_hierarchy(
         # ``max(block) > tau == any(block > tau)`` and upsampling commutes
         # with the comparison, so this is bit-identical to resampling the
         # float indicator first — without ever materializing a
-        # full-level-resolution float array.
-        flags = _flag_window(indicator > tau, shape, wlo, whi)
-        if width:
-            # Binary max dilation: reflect == clip at true domain edges;
-            # at artificial window edges every cell that can survive the
-            # parent mask is >= width away, so its stencil is in-window.
-            flags = buffer_flags(flags, width)
-        wbox = Box(wlo, whi)
-        shifted_parents: list[Box] = []
-        neg = tuple(-x for x in wlo)
-        for p in parent_refined:
-            piece = p.intersect(wbox)  # always whole: parents lie in pbb
-            if piece is not None:
-                shifted_parents.append(piece.shift(neg))
-        parent_mask = rasterize_mask(
-            shifted_parents, Box((0,) * config.ndim, win_shape)
-        )
-        flags &= parent_mask
+        # full-level-resolution float array.  The buffer is a binary max
+        # dilation: reflect == clip at true domain edges; at artificial
+        # window edges every cell that can survive the parent mask is
+        # >= width away, so its stencil is in-window.
+        with span("trace.flags", cat="trace", level=l) as sp:
+            flags = _buffered_flag_window(indicator > tau, shape, wlo, whi, width)
+            wbox = Box(wlo, whi)
+            shifted_parents: list[Box] = []
+            neg = tuple(-x for x in wlo)
+            for p in parent_refined:
+                piece = p.intersect(wbox)  # always whole: parents lie in pbb
+                if piece is not None:
+                    shifted_parents.append(piece.shift(neg))
+            parent_mask = rasterize_mask(
+                shifted_parents, Box((0,) * config.ndim, win_shape)
+            )
+            flags &= parent_mask
+            sp.annotate(window_cells=flags.size)
         if not flags.any():
             break
         # Berger--Rigoutsos first shrinks to the flag bounding box, so
         # clustering the window and shifting is exact.
         clusters = [b.shift(wlo) for b in cluster_flags(flags, config.cluster)]
-        patches = _clip_to_parents(clusters, parent_refined)
+        with span("trace.clip", cat="trace", level=l,
+                  clusters=len(clusters)) as sp:
+            pieces = _clip_to_parents(clusters, parent_refined)
+            patches = pieces.coalesced()
+            sp.annotate(pieces=len(pieces), patches=len(patches))
         if patches.ncells == 0:
             break
         levels.append(PatchLevel(l, patches, ratio=config.refine_ratio))

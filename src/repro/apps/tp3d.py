@@ -74,7 +74,11 @@ class Transport3D(ShadowApplication):
         x = (np.arange(nx) + 0.5) / nx
         y = (np.arange(ny) + 0.5) / ny
         z = (np.arange(nz) + 0.5) / nz
-        self._X, self._Y, self._Z = np.meshgrid(x, y, z, indexing="ij")
+        # The velocity depends only on (x, y): keep the horizontal
+        # coordinates as (nx, ny, 1) planes and let every use broadcast
+        # along z (each element keeps its expression, so the values are
+        # those of full meshgrids).
+        self._X, self._Y = (g[..., None] for g in np.meshgrid(x, y, indexing="ij"))
         self._I, self._J, self._K = np.meshgrid(
             np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
         )
@@ -85,7 +89,7 @@ class Transport3D(ShadowApplication):
                     (
                         (self._X - cx) ** 2
                         + (self._Y - cy) ** 2
-                        + (self._Z - cz) ** 2
+                        + (z - cz) ** 2
                     )
                     / w**2
                 )
@@ -136,7 +140,10 @@ class Transport3D(ShadowApplication):
         return 1.0 + 0.75 * s
 
     def _velocity(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar rotation about the drifting axis plus vertical shear."""
+        """Columnar rotation about the drifting axis plus vertical shear.
+
+        Returns (nx, ny, 1) planes: the field is the same at every height.
+        """
         cx, cy = self._vortex_centre(t)
         dx = self._X - cx
         dy = self._Y - cy

@@ -68,26 +68,31 @@ class ClusterParams:
             raise ValueError("max_cells too small for the granularity")
 
 
-def _bounding_slices(flags: np.ndarray) -> tuple[slice, ...] | None:
-    """Tight bounding slices of True cells, or None if all-False."""
-    if not flags.any():
-        return None
-    out = []
-    for d in range(flags.ndim):
-        axes = tuple(e for e in range(flags.ndim) if e != d)
-        profile = flags.any(axis=axes)
-        idx = np.flatnonzero(profile)
-        out.append(slice(int(idx[0]), int(idx[-1]) + 1))
-    return tuple(out)
+#: Cells per first-axis slab from which one popcount call per slab beats
+#: a strided reduction for that axis's signature.
+_POPCOUNT_SLAB = 256
 
 
 def _signatures(flags: np.ndarray) -> list[np.ndarray]:
-    """Per-dimension signatures: flagged-cell counts of each slab."""
-    sigs = []
-    for d in range(flags.ndim):
-        axes = tuple(e for e in range(flags.ndim) if e != d)
-        sigs.append(flags.sum(axis=axes, dtype=np.int64))
-    return sigs
+    """Per-dimension signatures: flagged-cell counts of each slab.
+
+    Two passes whatever the rank: the first axis's counts (a popcount
+    per slab, or one reduction when slabs are small), and one sum over
+    the first axis (row adds, no strided reduction) whose small result
+    gives every other axis's signature.
+    """
+    if flags.ndim == 1:
+        return [flags.astype(np.int64)]
+    if flags[0].size >= _POPCOUNT_SLAB:
+        first = np.array([np.count_nonzero(slab) for slab in flags], dtype=np.int64)
+    else:
+        first = flags.sum(axis=tuple(range(1, flags.ndim)), dtype=np.int64)
+    counts = flags.view(np.uint8).sum(axis=0, dtype=np.int32)
+    rest = [
+        counts.sum(axis=tuple(e for e in range(counts.ndim) if e != d), dtype=np.int64)
+        for d in range(counts.ndim)
+    ]
+    return [first, *rest]
 
 
 def _best_hole(sig: np.ndarray, min_extent: int) -> tuple[int, int] | None:
@@ -130,10 +135,11 @@ def _best_inflection(sig: np.ndarray, min_extent: int) -> tuple[int, int] | None
     return best, int(strengths[order[-1]])
 
 
-def _split_point(flags: np.ndarray, params: ClusterParams) -> tuple[int, int] | None:
+def _split_point(
+    sigs: list[np.ndarray], shape: tuple[int, ...], params: ClusterParams
+) -> tuple[int, int] | None:
     """Choose ``(dim, cut)`` for bisection, or None if unsplittable."""
     g = params.granularity
-    sigs = _signatures(flags)
     # 1. Holes, most central across all dimensions.
     hole_candidates: list[tuple[int, int, int]] = []  # (centrality, dim, cut)
     for d, sig in enumerate(sigs):
@@ -159,31 +165,46 @@ def _split_point(flags: np.ndarray, params: ClusterParams) -> tuple[int, int] | 
         _, d, cut = min(infl_candidates)
         return d, cut
     # 3. Midpoint of the longest splittable dimension.
-    dims = [d for d in range(flags.ndim) if flags.shape[d] >= 2 * g]
+    dims = [d for d in range(len(shape)) if shape[d] >= 2 * g]
     if not dims:
         return None
-    d = max(dims, key=lambda d: flags.shape[d])
-    return d, flags.shape[d] // 2
+    d = max(dims, key=lambda d: shape[d])
+    return d, shape[d] // 2
 
 
 def _cluster_rec(
     flags: np.ndarray,
+    sigs: list[np.ndarray],
     origin: tuple[int, ...],
     params: ClusterParams,
     out: list[Box],
 ) -> None:
-    bounds = _bounding_slices(flags)
-    if bounds is None:
-        return
-    sub = flags[bounds]
-    origin = tuple(o + s.start for o, s in zip(origin, bounds))
-    nflag = int(sub.sum())
+    """Cluster ``flags`` (at ``origin``) given its signatures ``sigs``.
+
+    Every reduction is an exact integer identity on the signatures, so
+    a node never rescans its whole array: the flags' bounding box is the
+    signatures' support; cropping an axis to it drops only all-zero
+    slabs, so the other signatures are unchanged and the cropped ones
+    are slices; and only the smaller child's signatures are reduced —
+    its sibling's are the parent's minus them on every axis but the cut
+    one, where they are a slice.
+    """
+    bounds = []
+    for sig in sigs:
+        support = np.flatnonzero(sig)
+        if support.size == 0:
+            return
+        bounds.append(slice(int(support[0]), int(support[-1]) + 1))
+    sub = flags[tuple(bounds)]
+    sigs = [sig[b] for sig, b in zip(sigs, bounds)]
+    origin = tuple(o + b.start for o, b in zip(origin, bounds))
+    nflag = int(sigs[0].sum())
     efficiency = nflag / sub.size
     too_big = params.max_cells is not None and sub.size > params.max_cells
     if efficiency >= params.efficiency and not too_big:
         out.append(Box(origin, tuple(o + s for o, s in zip(origin, sub.shape))))
         return
-    split = _split_point(sub, params)
+    split = _split_point(sigs, sub.shape, params)
     if split is None:
         out.append(Box(origin, tuple(o + s for o, s in zip(origin, sub.shape))))
         return
@@ -195,8 +216,21 @@ def _cluster_rec(
         slice(cut, None) if e == d else slice(None) for e in range(sub.ndim)
     )
     hi_origin = tuple(o + (cut if e == d else 0) for e, o in enumerate(origin))
-    _cluster_rec(sub[lo_idx], origin, params, out)
-    _cluster_rec(sub[hi_idx], hi_origin, params, out)
+    lo, hi = sub[lo_idx], sub[hi_idx]
+    if 2 * cut <= sub.shape[d]:
+        lo_sigs = _signatures(lo)
+        hi_sigs = [
+            sig[cut:] if e == d else sig - part
+            for e, (sig, part) in enumerate(zip(sigs, lo_sigs))
+        ]
+    else:
+        hi_sigs = _signatures(hi)
+        lo_sigs = [
+            sig[:cut] if e == d else sig - part
+            for e, (sig, part) in enumerate(zip(sigs, hi_sigs))
+        ]
+    _cluster_rec(lo, lo_sigs, origin, params, out)
+    _cluster_rec(hi, hi_sigs, hi_origin, params, out)
 
 
 def cluster_flags(
@@ -228,6 +262,6 @@ def cluster_flags(
         flags = flags.astype(bool)
     out: list[Box] = []
     with span("cluster.flags", cat="cluster", ndim=flags.ndim) as sp:
-        _cluster_rec(flags, (0,) * flags.ndim, params, out)
+        _cluster_rec(flags, _signatures(flags), (0,) * flags.ndim, params, out)
         sp.annotate(nboxes=len(out))
     return out

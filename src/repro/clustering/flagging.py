@@ -9,6 +9,8 @@ nesting between consecutive levels.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from scipy import ndimage
@@ -57,19 +59,28 @@ def flags_from_indicator(indicator: np.ndarray, threshold: float) -> np.ndarray:
     return indicator > threshold
 
 
-def buffer_flags(flags: np.ndarray, width: int) -> np.ndarray:
+def buffer_flags(flags: np.ndarray, width: int | Sequence[int]) -> np.ndarray:
     """Dilate flags by ``width`` cells (Chebyshev ball).
 
     SAMR codes buffer flagged regions so features do not escape the
     refined patches between regrids.  Implemented with a separable
-    maximum filter: O(n) independent of ``width``.
+    maximum filter: O(n) independent of ``width``.  A sequence gives one
+    width per axis (a box-shaped neighbourhood).
     """
-    if width < 0:
+    widths = (
+        (width,) * flags.ndim if isinstance(width, (int, np.integer)) else tuple(width)
+    )
+    if len(widths) != flags.ndim:
+        raise ValueError(f"{len(widths)} buffer widths for a {flags.ndim}-d array")
+    if any(w < 0 for w in widths):
         raise ValueError("buffer width must be >= 0")
-    if width == 0 or not flags.any():
+    if not any(widths) or not flags.any():
         return flags.astype(bool)
     return (
-        ndimage.maximum_filter(flags.astype(np.uint8), size=2 * width + 1) > 0
+        ndimage.maximum_filter(
+            flags.astype(np.uint8), size=tuple(2 * w + 1 for w in widths)
+        )
+        > 0
     )
 
 

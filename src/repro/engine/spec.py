@@ -94,6 +94,16 @@ def _normalize_pairs(value: Mapping | Params | None) -> Params:
     return tuple(sorted(items, key=lambda pair: pair[0]))
 
 
+def _json_pairs(value: Any, what: str) -> Params:
+    """``(name, value)`` pairs of a spec document, or ``ValueError``."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+        for p in value
+    ):
+        raise ValueError(f"{what} must be (name, value) pairs, got {value!r}")
+    return tuple((k, v) for k, v in value)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One declarative unit of experiment work.
@@ -262,12 +272,25 @@ class RunSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "RunSpec":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json`.
+
+        Raises ``ValueError`` naming the problem when ``doc`` is not a
+        spec document: unknown or missing fields, or ``params`` (or
+        machine overrides) that are not ``(name, value)`` pairs.  The
+        constructor's own ``ValueError`` for a bad value (unknown kind,
+        app, scale, ...) passes through.
+        """
+        unknown = sorted(set(doc) - {f.name for f in fields(RunSpec)})
+        if unknown:
+            raise ValueError(f"unknown spec fields {unknown}")
+        missing = [name for name in ("kind", "app") if name not in doc]
+        if missing:
+            raise ValueError(f"missing spec fields {missing}")
         doc = dict(doc)
-        doc["params"] = tuple((k, v) for k, v in doc.get("params", ()))
+        doc["params"] = _json_pairs(doc.get("params", ()), "params")
         machine = doc.get("machine", "cluster-2003")
         if not isinstance(machine, str):
-            doc["machine"] = tuple((k, v) for k, v in machine)
+            doc["machine"] = _json_pairs(machine, "machine")
         return RunSpec(**doc)
 
     def label(self) -> str:

@@ -195,6 +195,22 @@ def _load_series_mmap(path: Path) -> dict[str, np.ndarray] | None:
     return arrays
 
 
+def _parse_spec(doc: dict) -> tuple[RunSpec | None, str]:
+    """The spec of an entry's ``meta.json``, or ``(None, problem)``.
+
+    Only a malformed document (``ValueError`` from
+    :meth:`RunSpec.from_json`) is a corrupt entry; any other exception
+    is a programming error and propagates.
+    """
+    spec_doc, meta = doc.get("spec"), doc.get("meta")
+    if not isinstance(spec_doc, dict) or not isinstance(meta, dict):
+        return None, "meta.json lacks spec/meta"
+    try:
+        return RunSpec.from_json(spec_doc), ""
+    except ValueError as exc:
+        return None, f"spec does not parse: {exc}"
+
+
 def default_store() -> "ResultStore":
     """The store selected by ``REPRO_CACHE_DIR`` (env read per call)."""
     root = os.environ.get("REPRO_CACHE_DIR")
@@ -394,15 +410,11 @@ class ResultStore:
             doc = self.load_meta(key)
             if doc is None:
                 return None
-            spec_doc, meta = doc.get("spec"), doc.get("meta")
-            if not isinstance(spec_doc, dict) or not isinstance(meta, dict):
-                self._corrupt_miss(key, "meta.json lacks spec/meta")
+            spec, problem = _parse_spec(doc)
+            if spec is None:
+                self._corrupt_miss(key, problem)
                 return None
-            try:
-                spec = RunSpec.from_json(spec_doc)
-            except Exception as exc:
-                self._corrupt_miss(key, f"spec does not parse: {exc}")
-                return None
+            meta = doc["meta"]
             arrays: dict[str, np.ndarray] | None = None
             series = self.entry_dir(key) / _SERIES
             if series.is_file():
@@ -537,14 +549,9 @@ class ResultStore:
                     if (entry / _META).is_file():
                         self._corrupt_miss(key, "unparsable meta.json")
                     continue
-                spec_doc, meta = doc.get("spec"), doc.get("meta")
-                if not isinstance(spec_doc, dict) or not isinstance(meta, dict):
-                    self._corrupt_miss(key, "meta.json lacks spec/meta")
-                    continue
-                try:
-                    RunSpec.from_json(spec_doc)
-                except Exception as exc:
-                    self._corrupt_miss(key, f"spec does not parse: {exc}")
+                spec, problem = _parse_spec(doc)
+                if spec is None:
+                    self._corrupt_miss(key, problem)
                     continue
                 if kind is not None and doc.get("kind") != kind:
                     continue
@@ -640,14 +647,9 @@ class ResultStore:
             )
         if doc.get("key") != key:
             return f"meta.json key mismatch ({str(doc.get('key'))[:12]})"
-        if not isinstance(doc.get("spec"), dict) or not isinstance(
-            doc.get("meta"), dict
-        ):
-            return "meta.json lacks spec/meta"
-        try:
-            RunSpec.from_json(doc["spec"])
-        except Exception as exc:
-            return f"spec does not parse: {exc}"
+        spec, problem = _parse_spec(doc)
+        if spec is None:
+            return problem
         if doc.get("kind") == "trace":
             path = entry / _TRACE
             if not path.is_file():

@@ -98,30 +98,74 @@ def subtract_boxes(base: Sequence[Box], holes: Sequence[Box]) -> list[Box]:
 def coalesce_boxes(boxes: Sequence[Box]) -> list[Box]:
     """Greedily merge abutting boxes whose union is a box.
 
-    Reduces patch counts after subtraction; result covers exactly the same
-    cells (inputs must be disjoint).
+    Reduces patch counts after subtraction; the result covers exactly the
+    same cells.  The greedy rule: each pass walks the boxes in order,
+    takes the next unused one as an accumulator and absorbs, in index
+    order, every later unused box whose union with the accumulator is a
+    box (:meth:`Box.can_coalesce`); passes repeat until nothing merges.
+
+    Precondition: the inputs are pairwise disjoint.  Then a box can join
+    the accumulator only by abutting one of its faces with the same
+    cross-section, so at most ``2 * ndim`` boxes qualify at any time.
+    Two dicts keyed by face (a box's low face, its high face) find them,
+    and the scan's next merge is the smallest unused index past the last
+    merge.  That replays the greedy loop exactly without its quadratic
+    scan; on overlapping inputs the result is unspecified.
     """
     work = [b for b in boxes if not b.empty]
+    if not work:
+        return work
+    ndim = work[0].ndim
     merged = True
     while merged:
         merged = False
+        # A face is a box's corner tuple ``lo + hi`` collapsed to zero
+        # width on one axis; a box's high face on an axis equals another
+        # box's low face exactly when the second starts where the first
+        # ends, with the same cross-section.
+        low_faces: dict[tuple[int, ...], int] = {}
+        high_faces: dict[tuple[int, ...], int] = {}
+        for j, b in enumerate(work):
+            for face in _faces(b.lo + b.hi, ndim, low=True):
+                low_faces[face] = j
+            for face in _faces(b.lo + b.hi, ndim, low=False):
+                high_faces[face] = j
+        n = len(work)
+        used = [False] * n
         out: list[Box] = []
-        used = [False] * len(work)
-        for i, bi in enumerate(work):
+        for i, acc in enumerate(work):
             if used[i]:
                 continue
-            acc = bi
-            for j in range(i + 1, len(work)):
-                if used[j]:
-                    continue
-                bj = work[j]
-                if acc.can_coalesce(bj):
-                    acc = acc.merge_bounding(bj)
-                    used[j] = True
-                    merged = True
+            last = i
+            while True:
+                corners = acc.lo + acc.hi
+                best = n
+                for face in _faces(corners, ndim, low=False):
+                    j = low_faces.get(face, -1)
+                    if last < j < best and not used[j]:
+                        best = j
+                for face in _faces(corners, ndim, low=True):
+                    j = high_faces.get(face, -1)
+                    if last < j < best and not used[j]:
+                        best = j
+                if best == n:
+                    break
+                acc = acc.merge_bounding(work[best])
+                used[best] = True
+                last = best
+                merged = True
             out.append(acc)
         work = out
     return work
+
+
+def _faces(corners: tuple[int, ...], ndim: int, *, low: bool):
+    """The ``ndim`` low (or high) faces of a box given as ``lo + hi``."""
+    for d in range(ndim):
+        if low:  # hi[d] := lo[d]
+            yield corners[: ndim + d] + (corners[d],) + corners[ndim + d + 1 :]
+        else:  # lo[d] := hi[d]
+            yield corners[:d] + (corners[ndim + d],) + corners[d + 1 :]
 
 
 class BoxList:

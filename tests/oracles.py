@@ -10,8 +10,17 @@ The straightforward versions that path replaced live here, as oracles:
 * the sequential :meth:`~repro.geometry.Box.subtract` sweep behind
   :func:`~repro.geometry.subtract_corners` and
   :func:`~repro.geometry.overlay_corners`;
+* the hierarchy build as it was before it worked at the cheapest exact
+  resolution: :func:`level_resolution_flag_window` (flags resampled to
+  level resolution, then buffered), :func:`reference_cluster_flags`
+  (Berger--Rigoutsos re-reducing the whole array at every node),
+  :func:`nested_clip` (the nested ``Box.intersect`` loop),
+  :func:`greedy_coalesce_boxes` (the quadratic greedy loop), and
+  :func:`reference_build_hierarchy`, which chains them;
 * :func:`clip_to_parents_reference`, the hierarchy build's clip step
   with the re-disjointification it no longer runs;
+* :func:`meshgrid_tp3d_initial` and :func:`meshgrid_tp3d_advance`, the
+  tp3d initial state and step on full 3-D coordinate meshgrids;
 * :func:`canonical_candidate_pairs`, the pair index's bucket join as it
   was before the reference-bucket rule: every pair once per shared
   bucket, then sorted and deduplicated;
@@ -34,15 +43,23 @@ from typing import Iterator
 
 import numpy as np
 
+from scipy import ndimage
+
+from repro.apps.base import _resample
+from repro.clustering import ClusterParams, buffer_flags
+from repro.clustering.berger_rigoutsos import _best_hole, _best_inflection
 from repro.geometry import (
     NO_OWNER,
     Box,
     BoxList,
     OwnerMap,
+    bounding_box,
     box_corners,
     pair_index_forced,
+    rasterize_mask,
     upsample,
 )
+from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import PartitionResult
 from repro.simulator import (
     ghost_face_stats,
@@ -317,19 +334,237 @@ def lexsort_merge_unit_runs(
 # hierarchy build
 
 
+def greedy_coalesce_boxes(boxes) -> list[Box]:
+    """The greedy merge loop behind :func:`~repro.geometry.coalesce_boxes`.
+
+    Each pass takes the next unused box as an accumulator and absorbs,
+    in index order, every later unused box it can coalesce with;
+    passes repeat until nothing merges.  O(n^2) per pass.
+    """
+    work = [b for b in boxes if not b.empty]
+    merged = True
+    while merged:
+        merged = False
+        out: list[Box] = []
+        used = [False] * len(work)
+        for i, bi in enumerate(work):
+            if used[i]:
+                continue
+            acc = bi
+            for j in range(i + 1, len(work)):
+                if used[j]:
+                    continue
+                bj = work[j]
+                if acc.can_coalesce(bj):
+                    acc = acc.merge_bounding(bj)
+                    used[j] = True
+                    merged = True
+            out.append(acc)
+        work = out
+    return work
+
+
+def nested_clip(clusters, parents) -> list[Box]:
+    """Every non-empty cluster-parent intersection, cluster-major."""
+    return [
+        piece
+        for box in clusters
+        for parent in parents
+        if (piece := box.intersect(parent)) is not None
+    ]
+
+
 def clip_to_parents_reference(clusters, parents) -> BoxList:
     """The clip step of ``build_hierarchy`` with its old re-disjointification.
 
     ``BoxList.disjointified`` subtracts every earlier piece from every
     later one; on the disjoint pieces the clip produces it is the identity.
     """
-    clipped = [
-        piece
-        for box in clusters
-        for parent in parents
-        if (piece := box.intersect(parent)) is not None
+    pieces = BoxList(nested_clip(clusters, parents)).disjointified()
+    return BoxList(greedy_coalesce_boxes(pieces))
+
+
+def _bounding_slices(flags: np.ndarray) -> tuple[slice, ...] | None:
+    """Tight bounding slices of True cells, or None if all-False."""
+    if not flags.any():
+        return None
+    out = []
+    for d in range(flags.ndim):
+        axes = tuple(e for e in range(flags.ndim) if e != d)
+        profile = flags.any(axis=axes)
+        idx = np.flatnonzero(profile)
+        out.append(slice(int(idx[0]), int(idx[-1]) + 1))
+    return tuple(out)
+
+
+def _split_point(flags: np.ndarray, params) -> tuple[int, int] | None:
+    """Berger--Rigoutsos cut choice from freshly reduced signatures."""
+    g = params.granularity
+    sigs = [
+        flags.sum(axis=tuple(e for e in range(flags.ndim) if e != d),
+                  dtype=np.int64)
+        for d in range(flags.ndim)
     ]
-    return BoxList(clipped).disjointified().coalesced()
+    holes = [
+        (found[1], d, found[0])
+        for d, sig in enumerate(sigs)
+        if sig.size >= 2 * g and (found := _best_hole(sig, g)) is not None
+    ]
+    if holes:
+        _, d, cut = min(holes)
+        return d, cut
+    inflections = [
+        (-found[1], d, found[0])
+        for d, sig in enumerate(sigs)
+        if sig.size >= 2 * g and (found := _best_inflection(sig, g)) is not None
+    ]
+    if inflections:
+        _, d, cut = min(inflections)
+        return d, cut
+    dims = [d for d in range(flags.ndim) if flags.shape[d] >= 2 * g]
+    if not dims:
+        return None
+    d = max(dims, key=lambda d: flags.shape[d])
+    return d, flags.shape[d] // 2
+
+
+def _cluster_rec(flags, origin, params, out) -> None:
+    bounds = _bounding_slices(flags)
+    if bounds is None:
+        return
+    sub = flags[bounds]
+    origin = tuple(o + s.start for o, s in zip(origin, bounds))
+    box = Box(origin, tuple(o + s for o, s in zip(origin, sub.shape)))
+    efficiency = int(sub.sum()) / sub.size
+    too_big = params.max_cells is not None and sub.size > params.max_cells
+    if efficiency >= params.efficiency and not too_big:
+        out.append(box)
+        return
+    split = _split_point(sub, params)
+    if split is None:
+        out.append(box)
+        return
+    d, cut = split
+    lo_idx = tuple(slice(0, cut) if e == d else slice(None) for e in range(sub.ndim))
+    hi_idx = tuple(slice(cut, None) if e == d else slice(None) for e in range(sub.ndim))
+    hi_origin = tuple(o + (cut if e == d else 0) for e, o in enumerate(origin))
+    _cluster_rec(sub[lo_idx], origin, params, out)
+    _cluster_rec(sub[hi_idx], hi_origin, params, out)
+
+
+def reference_cluster_flags(flags: np.ndarray, params=None) -> list[Box]:
+    """Berger--Rigoutsos reducing the whole array at every recursion node."""
+    if params is None:
+        params = ClusterParams(ndim=flags.ndim)
+    out: list[Box] = []
+    _cluster_rec(flags.astype(bool), (0,) * flags.ndim, params, out)
+    return out
+
+
+def level_resolution_flag_window(flagged, shape, win_lo, win_hi, width):
+    """Flags of a level-space window, resampled to level resolution and
+    then buffered there (the build's flag step before coarse dilation)."""
+    crop = flagged
+    for axis in range(flagged.ndim):
+        src, dst = flagged.shape[axis], shape[axis]
+        if dst >= src:
+            f = dst // src
+            sl = slice(win_lo[axis] // f, win_hi[axis] // f)
+        else:
+            g = src // dst
+            sl = slice(win_lo[axis] * g, win_hi[axis] * g)
+        crop = crop[(slice(None),) * axis + (sl,)]
+    win_shape = tuple(h - l for l, h in zip(win_lo, win_hi))
+    flags = _resample(crop, win_shape, reduce="any")
+    return buffer_flags(flags, width) if width else flags
+
+
+def reference_build_hierarchy(indicator: np.ndarray, config) -> GridHierarchy:
+    """``build_hierarchy`` on the oracles above (same window, same order)."""
+    domain = Box((0,) * config.ndim, config.base_shape)
+    levels = [PatchLevel(0, [domain], ratio=1)]
+    parent_boxes = BoxList([domain])
+    for l in range(1, config.max_levels):
+        shape = config.level_shape(l)
+        tau = min(0.95, config.flag_threshold * config.threshold_growth ** (l - 1))
+        width = config.buffer_width * config.refine_ratio ** (l - 1)
+        parent_refined = parent_boxes.refine(config.refine_ratio)
+        pbb = bounding_box(parent_refined.boxes)
+        wlo, whi = [], []
+        for ax in range(config.ndim):
+            src = indicator.shape[ax]
+            f = shape[ax] // src if shape[ax] >= src else 1
+            wlo.append(max(0, pbb.lo[ax] - width) // f * f)
+            whi.append(-(-min(shape[ax], pbb.hi[ax] + width) // f) * f)
+        flags = level_resolution_flag_window(
+            indicator > tau, shape, tuple(wlo), tuple(whi), width
+        )
+        neg = tuple(-x for x in wlo)
+        flags &= rasterize_mask(
+            [p.shift(neg) for p in parent_refined],
+            Box((0,) * config.ndim, flags.shape),
+        )
+        if not flags.any():
+            break
+        clusters = [
+            b.shift(tuple(wlo)) for b in reference_cluster_flags(flags, config.cluster)
+        ]
+        patches = BoxList(
+            greedy_coalesce_boxes(nested_clip(clusters, parent_refined))
+        )
+        if patches.ncells == 0:
+            break
+        levels.append(PatchLevel(l, patches, ratio=config.refine_ratio))
+        parent_boxes = patches
+    return GridHierarchy(domain, levels)
+
+
+# ---------------------------------------------------------------------------
+# tp3d shadow kernel
+
+
+def _tp3d_meshgrids(shape):
+    nx, ny, nz = shape
+    return np.meshgrid(
+        (np.arange(nx) + 0.5) / nx,
+        (np.arange(ny) + 0.5) / ny,
+        (np.arange(nz) + 0.5) / nz,
+        indexing="ij",
+    )
+
+
+def meshgrid_tp3d_initial(shape) -> np.ndarray:
+    """The tp3d initial blobs evaluated on full 3-D meshgrids."""
+    X, Y, Z = _tp3d_meshgrids(shape)
+    u = np.zeros(shape)
+    for cx, cy, cz, w in ((0.35, 0.5, 0.45, 0.07), (0.65, 0.45, 0.6, 0.06)):
+        u += np.exp(-(((X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2) / w**2))
+    return u
+
+
+def meshgrid_tp3d_advance(app) -> None:
+    """One tp3d step with the velocity evaluated on full 3-D meshgrids."""
+    nx, ny, nz = app.shape
+    X, Y, _ = _tp3d_meshgrids(app.shape)
+    t = app.time
+    cx, cy = app._vortex_centre(t)
+    dx = X - cx
+    dy = Y - cy
+    r2 = dx**2 + dy**2
+    omega = app._gust(t) * 1.6 / (1.0 + 6.0 * r2)
+    shear = float(
+        np.mean(np.sin(2 * np.pi * app._shear_freq * t + app._shear_phase))
+    )
+    vz = 0.5 * shear / (1.0 + 6.0 * r2)
+    vx, vy = -omega * dy, omega * dx
+    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    app._u = ndimage.map_coordinates(
+        app._u,
+        [I - vx * app._dt * nx, J - vy * app._dt * ny, K - vz * app._dt * nz],
+        order=1,
+        mode="grid-wrap",
+    )
+    app._time += app._dt
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from hypothesis import strategies as st
 
-from repro.geometry import Box, BoxList
+from repro.geometry import Box, BoxList, subtract_boxes
 from repro.hierarchy import GridHierarchy, PatchLevel
 
 
@@ -54,6 +56,35 @@ def disjoint_boxlists(max_boxes: int = 6, max_coord: int = 24, ndim: int = 2):
         return BoxList(out)
 
     return build()
+
+
+#: Cut planes per axis of :func:`tiled_fragments`, by dimension: the
+#: greedy coalesce oracle is quadratic, so keep the tile count small.
+_MAX_CUTS = {1: 8, 2: 5, 3: 3, 4: 2}
+
+
+@st.composite
+def tiled_fragments(draw, ndim: int = 2, side: int = 12):
+    """Disjoint boxes rich in abutting pairs, in shuffled order.
+
+    A box cut at random planes per axis into tiles, minus a few random
+    holes (the fragments :func:`~repro.geometry.subtract_boxes` leaves),
+    plus a few unrelated disjoint boxes beyond it.
+    """
+    intervals = []
+    for _ in range(ndim):
+        cuts = draw(st.sets(st.integers(1, side - 1), max_size=_MAX_CUTS[ndim]))
+        edges = [0, *sorted(cuts), side]
+        intervals.append(list(zip(edges[:-1], edges[1:])))
+    tiles = [
+        Box(tuple(lo for lo, _ in spans), tuple(hi for _, hi in spans))
+        for spans in product(*intervals)
+    ]
+    holes = draw(st.lists(boxes_nd(ndim, max_coord=side), max_size=2))
+    fragments = subtract_boxes(tiles, holes)
+    beyond = draw(disjoint_boxlists(max_boxes=3, max_coord=side, ndim=ndim))
+    fragments += [b.shift((side,) * ndim) for b in beyond]
+    return draw(st.permutations(fragments))
 
 
 @st.composite

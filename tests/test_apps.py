@@ -24,12 +24,22 @@ from repro.apps import (
     generate_trace,
     make_application,
 )
-from repro.apps.base import _clip_to_parents
+from repro.apps import base
+from repro.apps.base import _buffered_flag_window, _clip_to_parents
 from repro.clustering import cluster_flags, gradient_indicator
-from repro.experiments import workload_ndim
+from repro.experiments import paper_config, shadow_shape, workload_ndim
 from repro.geometry import BoxList
 from repro.telemetry import recording
-from tests.oracles import clip_to_parents_reference, rm2d_reference_advance
+from tests.oracles import (
+    clip_to_parents_reference,
+    level_resolution_flag_window,
+    meshgrid_tp3d_advance,
+    meshgrid_tp3d_initial,
+    nested_clip,
+    reference_build_hierarchy,
+    rm2d_reference_advance,
+)
+from tests.strategies import disjoint_boxlists
 
 
 ALL_APPS = sorted(APPLICATIONS)
@@ -217,6 +227,20 @@ class TestPhysics:
         with pytest.raises(ValueError):
             Transport3D(shape=(32, 32))
 
+    def test_tp3d_planes_match_meshgrid_formulation(self):
+        # The velocity is evaluated on (nx, ny, 1) planes and broadcast;
+        # every element keeps its expression, so the state is
+        # bit-identical to the full-meshgrid step.
+        app = Transport3D(shape=(24, 16, 12))
+        initial = meshgrid_tp3d_initial(app.shape)
+        assert app.indicator_field().tobytes() == initial.tobytes()
+        ref = copy.deepcopy(app)
+        for _ in range(6):
+            app.advance()
+            meshgrid_tp3d_advance(ref)
+        assert app.time == ref.time
+        assert app.indicator_field().tobytes() == ref.indicator_field().tobytes()
+
 
 def assert_rm2d_matches_reference(app: RichtmyerMeshkov2D, steps: int = 6) -> None:
     """``advance`` equals the padded-stack oracle byte for byte, step by step."""
@@ -329,8 +353,109 @@ class TestBuildHierarchy:
         )
         parents = BoxList(cluster_flags(parent_flags))
         clusters = cluster_flags(flags)
-        got = _clip_to_parents(clusters, parents)
+        got = _clip_to_parents(clusters, parents).coalesced()
         assert got.boxes == clip_to_parents_reference(clusters, parents).boxes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_clip_pieces_in_nested_loop_order(self, data):
+        # The corner-array clip emits the nested Box.intersect loop's
+        # pieces in its order (cluster-major, then parent), including
+        # when chunked over the cluster axis.
+        ndim = data.draw(st.integers(1, 3))
+        clusters = data.draw(disjoint_boxlists(8, 16, ndim)).boxes
+        parents = data.draw(disjoint_boxlists(8, 16, ndim))
+        step = data.draw(st.sampled_from([1, 3, 1 << 16]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "_CLIP_CHUNK", step)
+            got = _clip_to_parents(list(clusters), parents)
+        assert got.boxes == tuple(nested_clip(clusters, parents))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_coarse_dilation_equals_level_resolution(self, data):
+        # Per axis the level is the shadow grid repeated f times (f = 1,
+        # 2, 4) or block-reduced by 2.  Dilating at the shadow resolution
+        # where f divides the width, then repeating, equals resampling
+        # the window to level resolution and dilating there — for widths
+        # that are and are not multiples of f, and for windows that do
+        # and do not touch the domain edge.
+        ndim = data.draw(st.integers(1, 3))
+        shadow, shape, lo, hi = [], [], [], []
+        for _ in range(ndim):
+            coarse = data.draw(st.integers(1, 6 if ndim < 3 else 4))
+            f = data.draw(st.sampled_from(["down", 1, 2, 4]))
+            if f == "down":
+                shadow.append(2 * coarse)
+                shape.append(coarse)
+                f = 1
+            else:
+                shadow.append(coarse)
+                shape.append(coarse * f)
+            a = data.draw(st.integers(0, shape[-1] // f - 1))
+            b = data.draw(st.integers(a + 1, shape[-1] // f))
+            lo.append(a * f)
+            hi.append(b * f)
+        flagged = data.draw(hnp.arrays(bool, tuple(shadow)))
+        width = data.draw(st.integers(0, 9))
+        args = (flagged, tuple(shape), tuple(lo), tuple(hi), width)
+        got = _buffered_flag_window(*args)
+        want = level_resolution_flag_window(*args)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, shadow, base_side, max_levels, buffer_width",
+        [
+            # Upsampled levels with f | width: dilated at shadow resolution.
+            ("tp2d", 32, 16, 5, 2),
+            ("tp3d", 16, 8, 4, 2),
+            # f does not divide the width: dilated at level resolution.
+            ("tp3d", 8, 8, 4, 3),
+            ("bl2d", 16, 16, 4, 1),
+        ],
+    )
+    def test_deep_build_equals_oracle_build(
+        self, name, shadow, base_side, max_levels, buffer_width
+    ):
+        ndim = workload_ndim(name)
+        config = TraceGenConfig(
+            base_shape=(base_side,) * ndim,
+            max_levels=max_levels,
+            buffer_width=buffer_width,
+        )
+        app = make_application(name, shape=(shadow,) * ndim)
+        for step in range(9):
+            if step:
+                app.advance()
+            if step % 4:
+                continue
+            indicator = gradient_indicator(app.indicator_field())
+            got = build_hierarchy(indicator, config)
+            want = reference_build_hierarchy(indicator, config)
+            assert got.nlevels > 2
+            assert [lvl.patches.boxes for lvl in got] == [
+                lvl.patches.boxes for lvl in want
+            ], f"{name} step {step}"
+
+    @pytest.mark.parametrize("name", ALL_APPS)
+    def test_build_equals_oracle_build(self, name):
+        # Along each kernel's small-scale run, every snapshot's hierarchy
+        # is the oracle build's: same levels, same boxes, same order.
+        ndim = workload_ndim(name)
+        config = paper_config("small", ndim)
+        app = make_application(name, shape=shadow_shape("small", ndim))
+        for step in range(config.nsteps + 1):
+            if step:
+                app.advance()
+            if step % config.regrid_interval:
+                continue
+            indicator = gradient_indicator(app.indicator_field())
+            got = build_hierarchy(indicator, config)
+            want = reference_build_hierarchy(indicator, config)
+            assert [lvl.patches.boxes for lvl in got] == [
+                lvl.patches.boxes for lvl in want
+            ], f"{name} step {step}"
 
     @pytest.mark.parametrize("ndim,factor", [(2, 1), (2, 2), (2, 4), (3, 2)])
     def test_windowed_equals_full_domain_reference(self, ndim, factor):

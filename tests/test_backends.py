@@ -11,6 +11,7 @@ corrupt store entries degrade to cache misses instead of crashes.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from repro.engine import (
     JobQueue,
     ProcessBackend,
     ResultStore,
+    RunResult,
+    RunSpec,
     SerialBackend,
     Worker,
     resolve_backend,
@@ -619,6 +622,78 @@ class TestStoreHardening:
         (problem,) = store.verify()
         assert problem["key"] == key
         assert "unparsable meta.json" in problem["problem"]
+
+    @staticmethod
+    def _put_result(tmp_path) -> tuple[ResultStore, str]:
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS)
+        store = ResultStore(tmp_path / "store")
+        store.put_result(RunResult(
+            spec=spec, key=spec.key(), meta={"nsteps": 1},
+            arrays={"time": np.zeros(1)},
+        ))
+        return store, spec.key()
+
+    @staticmethod
+    def _rewrite_spec(store, key, **changes) -> None:
+        path = store.entry_dir(key) / "meta.json"
+        doc = json.loads(path.read_text("utf-8"))
+        doc["spec"].update(changes)
+        for name, value in changes.items():
+            if value is None:
+                del doc["spec"][name]
+        path.write_text(json.dumps(doc), "utf-8")
+
+    # A spec document that no longer parses — an unknown field (say,
+    # from a newer schema), a missing one, params that are not pairs —
+    # is a corrupt entry at every site that reads specs back.
+    MALFORMED = (
+        {"colour": "red"},
+        {"app": None},
+        {"params": [["alpha"]]},
+        {"params": "alpha"},
+    )
+
+    @pytest.mark.parametrize("changes", MALFORMED)
+    def test_malformed_spec_is_a_corrupt_miss_on_read(self, tmp_path, changes):
+        store, key = self._put_result(tmp_path)
+        self._rewrite_spec(store, key, **changes)
+        with pytest.warns(RuntimeWarning, match="spec does not parse"):
+            assert store.get_result(key) is None
+        assert not store.has(key)
+
+    @pytest.mark.parametrize("changes", MALFORMED)
+    def test_malformed_spec_is_skipped_by_listings(self, tmp_path, changes):
+        store, key = self._put_result(tmp_path)
+        self._rewrite_spec(store, key, **changes)
+        with pytest.warns(RuntimeWarning, match="spec does not parse"):
+            assert list(store.iter_results()) == []
+        assert not store.has(key)
+
+    @pytest.mark.parametrize("changes", MALFORMED)
+    def test_malformed_spec_is_flagged_by_verify(self, tmp_path, changes):
+        store, key = self._put_result(tmp_path)
+        self._rewrite_spec(store, key, **changes)
+        (problem,) = store.verify()
+        assert problem["key"] == key
+        assert problem["problem"].startswith("spec does not parse")
+
+    def test_programming_errors_in_spec_parsing_surface(self, tmp_path, monkeypatch):
+        # Only a malformed document is corruption: a TypeError raised
+        # while parsing is a bug and must reach the caller at all three
+        # sites, never be retired as a cache miss.
+        store, key = self._put_result(tmp_path)
+
+        def broken(doc):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(RunSpec, "from_json", staticmethod(broken))
+        with pytest.raises(TypeError, match="injected"):
+            store.get_result(key)
+        with pytest.raises(TypeError, match="injected"):
+            list(store.iter_results())
+        with pytest.raises(TypeError, match="injected"):
+            store.verify()
+        assert store.has(key)
 
 
 class TestBackendCLI:

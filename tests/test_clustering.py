@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.clustering import (
     ClusterParams,
+    berger_rigoutsos,
     buffer_flags,
     cluster_flags,
     downsample_mask,
@@ -18,6 +19,9 @@ from repro.clustering import (
     restrict_flags_to_mask,
 )
 from repro.geometry import Box, rasterize_mask
+
+from tests.oracles import reference_cluster_flags
+from tests.strategies import boxes_nd
 
 
 class TestClusterParams:
@@ -126,6 +130,43 @@ class TestClusterFlags:
             assert domain.contains_box(a)
             for b in boxes[i + 1 :]:
                 assert not a.intersects(b)
+
+
+@st.composite
+def _flag_rasters(draw):
+    """Flag rasters of 1-3 dims: painted boxes (holes, inflections and
+    deep recursion) over sparse noise, or plain random bits."""
+    ndim = draw(st.integers(1, 3))
+    side = {1: 40, 2: 24, 3: 12}[ndim]
+    shape = draw(st.tuples(*[st.integers(1, side)] * ndim))
+    flags = draw(hnp.arrays(bool, shape))
+    if draw(st.booleans()):
+        flags &= draw(hnp.arrays(bool, shape))  # sparser noise
+        for box in draw(st.lists(boxes_nd(ndim, max_coord=side), max_size=4)):
+            flags |= rasterize_mask([box], Box((0,) * ndim, shape))
+    return flags
+
+
+class TestClusterOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(_flag_rasters(), st.data())
+    def test_equals_full_reduction_recursion(self, flags, data):
+        # The signature-reusing recursion returns the same boxes in the
+        # same order as the one that re-reduces every node's array.
+        g = data.draw(st.integers(1, 3))
+        params = ClusterParams(
+            efficiency=data.draw(st.sampled_from([0.5, 0.75, 0.9, 1.0])),
+            granularity=g,
+            max_cells=data.draw(st.sampled_from([None, g**flags.ndim, 64])),
+            ndim=flags.ndim,
+        )
+        # Both ways of reducing the first axis's signature: popcounts per
+        # slab and one strided reduction.
+        slab = data.draw(st.sampled_from([1, 1 << 30]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(berger_rigoutsos, "_POPCOUNT_SLAB", slab)
+            got = cluster_flags(flags, params)
+        assert got == reference_cluster_flags(flags, params)
 
 
 class TestIndicator:

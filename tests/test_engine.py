@@ -117,6 +117,24 @@ class TestSpecHash:
         assert again == spec
         assert again.key() == spec.key()
 
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"colour": "red"}, "unknown spec fields"),
+            ({"kind": None}, "missing spec fields"),
+            ({"params": [["unit_size", 4, 5]]}, "params must be"),
+            ({"params": [[4, "unit_size"]]}, "params must be"),
+            ({"params": {"unit_size": 4}}, "params must be"),
+            ({"machine": [["latency"]]}, "machine must be"),
+        ],
+    )
+    def test_from_json_rejects_malformed_documents(self, changes, reason):
+        doc = sim_spec("tp2d", "small", params={"unit_size": 4}).to_json()
+        doc.update(changes)
+        doc = {k: v for k, v in doc.items() if v is not None or k == "seed"}
+        with pytest.raises(ValueError, match=reason):
+            RunSpec.from_json(doc)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sim_spec("nope2d", "small")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     Box,
@@ -14,7 +15,8 @@ from repro.geometry import (
     union_ncells,
 )
 
-from tests.strategies import disjoint_boxlists
+from tests.oracles import greedy_coalesce_boxes
+from tests.strategies import disjoint_boxlists, tiled_fragments
 
 
 class TestIntersectionVolume:
@@ -81,6 +83,25 @@ class TestUnionSubtract:
         merged = coalesce_boxes(boxes)
         assert sum(b.ncells for b in merged) == sum(b.ncells for b in boxes)
         assert len(merged) == 2
+
+
+class TestCoalesceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_greedy_loop(self, data):
+        # On disjoint inputs the bucketed replay returns exactly what the
+        # quadratic greedy loop returns: same boxes, same order.
+        ndim = data.draw(st.integers(1, 4))
+        boxes = data.draw(tiled_fragments(ndim))
+        got = coalesce_boxes(boxes)
+        assert got == greedy_coalesce_boxes(boxes)
+        assert sum(b.ncells for b in got) == sum(b.ncells for b in boxes)
+        assert BoxList(boxes).coalesced().boxes == tuple(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(disjoint_boxlists(max_boxes=8, max_coord=12, ndim=3))
+    def test_equals_greedy_loop_on_disjointified_sets(self, lst):
+        assert coalesce_boxes(lst.boxes) == greedy_coalesce_boxes(lst.boxes)
 
 
 class TestBoxList:
