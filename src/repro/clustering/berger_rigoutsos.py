@@ -68,25 +68,16 @@ class ClusterParams:
             raise ValueError("max_cells too small for the granularity")
 
 
-#: Cells per first-axis slab from which one popcount call per slab beats
-#: a strided reduction for that axis's signature.
-_POPCOUNT_SLAB = 256
-
-
 def _signatures(flags: np.ndarray) -> list[np.ndarray]:
     """Per-dimension signatures: flagged-cell counts of each slab.
 
-    Two passes whatever the rank: the first axis's counts (a popcount
-    per slab, or one reduction when slabs are small), and one sum over
-    the first axis (row adds, no strided reduction) whose small result
-    gives every other axis's signature.
+    Two passes whatever the rank: one reduction for the first axis's
+    counts, and one sum over the first axis (row adds, no strided
+    reduction) whose small result gives every other axis's signature.
     """
     if flags.ndim == 1:
         return [flags.astype(np.int64)]
-    if flags[0].size >= _POPCOUNT_SLAB:
-        first = np.array([np.count_nonzero(slab) for slab in flags], dtype=np.int64)
-    else:
-        first = flags.sum(axis=tuple(range(1, flags.ndim)), dtype=np.int64)
+    first = flags.sum(axis=tuple(range(1, flags.ndim)), dtype=np.int64)
     counts = flags.view(np.uint8).sum(axis=0, dtype=np.int32)
     rest = [
         counts.sum(axis=tuple(e for e in range(counts.ndim) if e != d), dtype=np.int64)

@@ -24,6 +24,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from typing import Any, Mapping
 
 import numpy as np
@@ -92,6 +93,15 @@ def _normalize_pairs(value: Mapping | Params | None) -> Params:
         if not isinstance(k, str):
             raise TypeError(f"param names must be strings, got {k!r}")
     return tuple(sorted(items, key=lambda pair: pair[0]))
+
+
+def _json_scalar_ok(name: str, value: Any) -> bool:
+    """Whether a spec document's scalar field has its annotated type."""
+    if name == "seed" and value is None:
+        return True
+    if name in ("nprocs", "ghost_width", "ndim", "seed"):
+        return isinstance(value, Integral) and not isinstance(value, bool)
+    return isinstance(value, str)
 
 
 def _json_pairs(value: Any, what: str) -> Params:
@@ -275,10 +285,11 @@ class RunSpec:
         """Inverse of :meth:`to_json`.
 
         Raises ``ValueError`` naming the problem when ``doc`` is not a
-        spec document: unknown or missing fields, or ``params`` (or
-        machine overrides) that are not ``(name, value)`` pairs.  The
-        constructor's own ``ValueError`` for a bad value (unknown kind,
-        app, scale, ...) passes through.
+        spec document: unknown or missing fields, a scalar field of the
+        wrong JSON type (``"nprocs": "16"``, ``"app": ["tp2d"]``), or
+        ``params`` (or machine overrides) that are not ``(name, value)``
+        pairs.  The constructor's own ``ValueError`` for a bad value
+        (unknown kind, app, scale, ...) passes through.
         """
         unknown = sorted(set(doc) - {f.name for f in fields(RunSpec)})
         if unknown:
@@ -286,6 +297,16 @@ class RunSpec:
         missing = [name for name in ("kind", "app") if name not in doc]
         if missing:
             raise ValueError(f"missing spec fields {missing}")
+        wrong = sorted(
+            name for name, value in doc.items()
+            if name not in ("params", "machine")
+            and not _json_scalar_ok(name, value)
+        )
+        if wrong:
+            raise ValueError(
+                "spec fields of the wrong type: "
+                + ", ".join(f"{name}={doc[name]!r}" for name in wrong)
+            )
         doc = dict(doc)
         doc["params"] = _json_pairs(doc.get("params", ()), "params")
         machine = doc.get("machine", "cluster-2003")

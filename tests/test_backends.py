@@ -644,11 +644,14 @@ class TestStoreHardening:
         path.write_text(json.dumps(doc), "utf-8")
 
     # A spec document that no longer parses — an unknown field (say,
-    # from a newer schema), a missing one, params that are not pairs —
-    # is a corrupt entry at every site that reads specs back.
+    # from a newer schema), a missing one, a field of the wrong type,
+    # params that are not pairs — is a corrupt entry at every site that
+    # reads specs back.
     MALFORMED = (
         {"colour": "red"},
         {"app": None},
+        {"app": ["tp2d"]},
+        {"nprocs": "16"},
         {"params": [["alpha"]]},
         {"params": "alpha"},
     )

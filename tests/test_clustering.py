@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.clustering import (
     ClusterParams,
-    berger_rigoutsos,
     buffer_flags,
     cluster_flags,
     downsample_mask,
@@ -160,12 +159,7 @@ class TestClusterOracle:
             max_cells=data.draw(st.sampled_from([None, g**flags.ndim, 64])),
             ndim=flags.ndim,
         )
-        # Both ways of reducing the first axis's signature: popcounts per
-        # slab and one strided reduction.
-        slab = data.draw(st.sampled_from([1, 1 << 30]))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(berger_rigoutsos, "_POPCOUNT_SLAB", slab)
-            got = cluster_flags(flags, params)
+        got = cluster_flags(flags, params)
         assert got == reference_cluster_flags(flags, params)
 
 

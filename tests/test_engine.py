@@ -126,6 +126,11 @@ class TestSpecHash:
             ({"params": [[4, "unit_size"]]}, "params must be"),
             ({"params": {"unit_size": 4}}, "params must be"),
             ({"machine": [["latency"]]}, "machine must be"),
+            ({"nprocs": "16"}, "wrong type: nprocs='16'"),
+            ({"app": ["tp2d"]}, "wrong type: app=\\['tp2d'\\]"),
+            ({"ghost_width": 1.5}, "wrong type: ghost_width=1.5"),
+            ({"ndim": True}, "wrong type: ndim=True"),
+            ({"seed": "7"}, "wrong type: seed='7'"),
         ],
     )
     def test_from_json_rejects_malformed_documents(self, changes, reason):
