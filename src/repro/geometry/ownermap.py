@@ -26,11 +26,12 @@ The pair kernels themselves (:func:`pair_intersections`,
 :func:`overlap_volume`, :func:`face_contacts`) dispatch through the
 grid-bucket pair-pruning index (:mod:`repro.geometry.pairindex`): at
 scale the O(n_a * n_b) candidate product is pruned to near-linear before
-the exact arithmetic runs.  Candidates arrive duplicate-free and
-unordered; kernels that emit pairs sort their exact survivors into the
-historical broadcast's order (which survives as the ``bruteforce``
-oracle path, selected via ``REPRO_PAIR_INDEX``), so outputs are
-bit-identical on every path.
+the exact arithmetic runs.  Candidates arrive duplicate-free, unordered
+and in bounded chunks; each kernel filters one chunk at a time, keeping
+only exact survivors (or integer sums), and kernels that emit pairs
+sort their survivors once into the historical broadcast's order (which
+survives as the ``bruteforce`` oracle path, selected via
+``REPRO_PAIR_INDEX``), so outputs are bit-identical on every path.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import numpy as np
 from .box import Box
 from .pairindex import (
     PairIndex,
+    PairStream,
+    _chunk_slices,
     _record_brute,
     _record_exact,
     candidate_pairs,
@@ -65,12 +68,6 @@ __all__ = [
     "first_cells_in_scan_order",
 ]
 
-#: Row budget of one broadcasted (chunk, nboxes) pair sweep (~128 MB of
-#: int64 per spatial dimension).  Keeps worst-case pair kernels bounded in
-#: memory no matter how fragmented a distribution gets.
-_PAIR_CHUNK_CELLS = 16_000_000
-
-
 def box_corners(boxes: Iterable[Box], ndim: int | None = None) -> np.ndarray:
     """Stack boxes into an ``(n, 2*ndim)`` int64 corner array."""
     rows = [tuple(b.lo) + tuple(b.hi) for b in boxes]
@@ -93,18 +90,67 @@ def corner_volumes(corners: np.ndarray) -> np.ndarray:
     return np.prod(widths, axis=1, dtype=np.int64)
 
 
-def _chunks(n_a: int, n_b: int) -> Iterator[slice]:
-    """Slices over the first operand keeping each broadcast bounded."""
-    if n_a == 0 or n_b == 0:
-        return
-    step = max(1, _PAIR_CHUNK_CELLS // max(1, n_b))
-    for start in range(0, n_a, step):
-        yield slice(start, min(start + step, n_a))
+_EMPTY_INDEX = np.empty(0, dtype=np.int64)
 
 
 def _emission_order(ai: np.ndarray, bj: np.ndarray, n_b: int) -> np.ndarray:
     """Permutation putting distinct pairs in brute-force order (ai-major)."""
     return np.argsort(ai * np.int64(n_b) + bj)
+
+
+def _joined(parts: list[np.ndarray], like: np.ndarray) -> np.ndarray:
+    """Concatenate per-chunk pieces (a lone piece is returned as is)."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return like[:0]
+    return np.concatenate(parts)
+
+
+def _intersection_rows(
+    a: np.ndarray, b: np.ndarray, ai: np.ndarray, bj: np.ndarray
+) -> np.ndarray:
+    """Corner rows of ``a[ai] ∩ b[bj]``, computed in budget-sized slices."""
+    ndim = a.shape[1] // 2
+    out = np.empty((ai.size, 2 * ndim), dtype=np.int64)
+    for sl in _chunk_slices(ai.size, 1):
+        i, j = ai[sl], bj[sl]
+        np.maximum(a[i, :ndim], b[j, :ndim], out=out[sl, :ndim])
+        np.minimum(a[i, ndim:], b[j, ndim:], out=out[sl, ndim:])
+    return out
+
+
+def _stream_volumes(
+    a: np.ndarray,
+    b: np.ndarray,
+    stream: PairStream,
+    a_ranks: np.ndarray | None = None,
+    b_ranks: np.ndarray | None = None,
+    *,
+    prefilter: bool = False,
+) -> tuple[int, int]:
+    """``(sum |a_i ∩ b_j|, equal-rank part)`` of a candidate stream.
+
+    Integer sums accumulate one chunk at a time; the nonzero volumes
+    examined are charged to ``exact_pairs``.  ``prefilter`` drops
+    cross-rank candidates before the arithmetic, so both sums are the
+    equal-rank one.
+    """
+    ndim = a.shape[1] // 2
+    total = same = exact = 0
+    for ai, bj in stream:
+        if prefilter:
+            keep = a_ranks[ai] == b_ranks[bj]
+            ai, bj = ai[keep], bj[keep]
+        lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
+        hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
+        vol = np.prod(np.clip(hi - lo, 0, None), axis=1, dtype=np.int64)
+        exact += int(np.count_nonzero(vol))
+        total += int(vol.sum())
+        if a_ranks is not None and not prefilter:
+            same += int(vol[a_ranks[ai] == b_ranks[bj]].sum())
+    _record_exact(exact)
+    return total, (total if prefilter else same)
 
 
 def pair_intersections(
@@ -127,42 +173,35 @@ def pair_intersections(
     are sorted into that order.
     """
     ndim = a.shape[1] // 2
-    cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
-    if cand is not None:
-        ai, bj = cand
-        lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-        hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-        keep = np.flatnonzero((hi > lo).all(axis=1))
-        _record_exact(keep.size)
-        keep = keep[_emission_order(ai[keep], bj[keep], b.shape[0])]
-        return (
-            np.concatenate((lo[keep], hi[keep]), axis=1),
-            ai[keep],
-            bj[keep],
-        )
-    _record_brute(a.shape[0] * b.shape[0])
-    out_c: list[np.ndarray] = []
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
-    for sl in _chunks(a.shape[0], b.shape[0]):
-        lo = np.maximum(a[sl, None, :ndim], b[None, :, :ndim])
-        hi = np.minimum(a[sl, None, ndim:], b[None, :, ndim:])
-        nonempty = (hi > lo).all(axis=2)
-        if not nonempty.any():
-            continue
-        ii, jj = np.nonzero(nonempty)
-        out_c.append(np.concatenate((lo[ii, jj], hi[ii, jj]), axis=1))
-        out_i.append(ii + sl.start)
-        out_j.append(jj)
-    if not out_c:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty((0, 2 * ndim), dtype=np.int64), empty, empty
-    _record_exact(sum(c.shape[0] for c in out_c))
-    return (
-        np.concatenate(out_c),
-        np.concatenate(out_i),
-        np.concatenate(out_j),
-    )
+    cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
+    if cand is not None:
+        # Keep only survivor indices per chunk; the corner rows are
+        # computed once the survivors are in emission order.
+        for ai, bj in cand:
+            lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
+            hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
+            keep = (hi > lo).all(axis=1)
+            out_i.append(ai[keep])
+            out_j.append(bj[keep])
+    else:
+        _record_brute(a.shape[0] * b.shape[0])
+        for sl in _chunk_slices(a.shape[0], b.shape[0]):
+            lo = np.maximum(a[sl, None, :ndim], b[None, :, :ndim])
+            hi = np.minimum(a[sl, None, ndim:], b[None, :, ndim:])
+            ii, jj = np.nonzero((hi > lo).all(axis=2))
+            out_i.append(ii + sl.start)
+            out_j.append(jj)
+    ai = _joined(out_i, _EMPTY_INDEX)
+    bj = _joined(out_j, _EMPTY_INDEX)
+    out_i.clear()  # drop the per-chunk pieces before sorting
+    out_j.clear()
+    _record_exact(ai.size)
+    if cand is not None:
+        order = _emission_order(ai, bj, b.shape[0])
+        ai, bj = ai[order], bj[order]
+    return _intersection_rows(a, b, ai, bj), ai, bj
 
 
 def overlap_volume(
@@ -176,16 +215,10 @@ def overlap_volume(
     ndim = a.shape[1] // 2
     cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
     if cand is not None:
-        ai, bj = cand
-        lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-        hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-        width = np.clip(hi - lo, 0, None)
-        vol = np.prod(width, axis=1, dtype=np.int64)
-        _record_exact(int((vol > 0).sum()))
-        return int(vol.sum())
+        return _stream_volumes(a, b, cand)[0]
     _record_brute(a.shape[0] * b.shape[0])
     total = 0
-    for sl in _chunks(a.shape[0], b.shape[0]):
+    for sl in _chunk_slices(a.shape[0], b.shape[0]):
         lo = np.maximum(a[sl, None, :ndim], b[None, :, :ndim])
         hi = np.minimum(a[sl, None, ndim:], b[None, :, ndim:])
         width = np.clip(hi - lo, 0, None)
@@ -241,15 +274,7 @@ def matched_volume(
     if _index_usable(a, b, a_index, b_index):
         cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
         if cand is not None:
-            ndim = a.shape[1] // 2
-            ai, bj = cand
-            same = a_ranks[ai] == b_ranks[bj]
-            ai, bj = ai[same], bj[same]
-            lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-            hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-            vol = np.prod(np.clip(hi - lo, 0, None), axis=1, dtype=np.int64)
-            _record_exact(int((vol > 0).sum()))
-            return int(vol.sum())
+            return _stream_volumes(a, b, cand, a_ranks, b_ranks, prefilter=True)[0]
     total = 0
     common = np.intersect1d(np.unique(a_ranks), np.unique(b_ranks))
     for rank in common:
@@ -277,19 +302,24 @@ def overlap_and_matched_volume(
     if a.shape[0] and b.shape[0] and _index_usable(a, b, a_index, b_index):
         cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
         if cand is not None:
-            ndim = a.shape[1] // 2
-            ai, bj = cand
-            lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-            hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-            vol = np.prod(np.clip(hi - lo, 0, None), axis=1, dtype=np.int64)
-            _record_exact(int((vol > 0).sum()))
-            both = int(vol.sum())
-            same = int(vol[a_ranks[ai] == b_ranks[bj]].sum())
-            return both, same
+            return _stream_volumes(a, b, cand, a_ranks, b_ranks)
     return (
         overlap_volume(a, b, a_index=a_index, b_index=b_index),
         matched_volume(a, a_ranks, b, b_ranks, a_index=a_index, b_index=b_index),
     )
+
+
+def _face_areas(
+    lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray, d: int
+) -> np.ndarray:
+    """Cross-section areas of boxes ``ii`` and ``jj`` abutting on axis ``d``."""
+    area = np.ones(ii.size, dtype=np.int64)
+    for e in range(lo.shape[1]):
+        if e == d:
+            continue
+        width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(lo[ii, e], lo[jj, e])
+        area *= np.clip(width, 0, None)
+    return area
 
 
 def face_contacts(
@@ -316,32 +346,33 @@ def face_contacts(
     out_area: list[np.ndarray] = []
     # Touching boxes do not *intersect*, so the face query needs the
     # closed-interval candidate set: abutting pairs cohabit a bucket too.
-    # One candidate pass serves all ndim axis filters; each axis sorts
-    # its survivors into the brute-force sweeps' order (ai-major,
-    # bj-minor) below.
+    # One candidate pass serves all ndim axis filters; each axis keeps
+    # its survivors per chunk and sorts them once into the brute-force
+    # sweeps' order (ai-major, bj-minor) below.
     cand = candidate_pairs(corners, corners, closed=True, b_index=index)
     if cand is not None:
-        ai, bj = cand
-        rank_differs = ranks[ai] != ranks[bj]
-        for d in range(ndim):
-            sel = (hi[ai, d] == lo[bj, d]) & rank_differs
-            if not sel.any():
-                continue
-            ii, jj = ai[sel], bj[sel]
-            area = np.ones(ii.size, dtype=np.int64)
-            for e in range(ndim):
-                if e == d:
+        found: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(ndim)
+        ]
+        for ai, bj in cand:
+            rank_differs = ranks[ai] != ranks[bj]
+            for d in range(ndim):
+                sel = (hi[ai, d] == lo[bj, d]) & rank_differs
+                if not sel.any():
                     continue
-                width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(
-                    lo[ii, e], lo[jj, e]
-                )
-                area *= np.clip(width, 0, None)
-            keep = np.flatnonzero(area > 0)
-            if keep.size:
-                keep = keep[_emission_order(ii[keep], jj[keep], n)]
-                out_a.append(ranks[ii[keep]])
-                out_b.append(ranks[jj[keep]])
-                out_area.append(area[keep])
+                ii, jj = ai[sel], bj[sel]
+                area = _face_areas(lo, hi, ii, jj, d)
+                keep = np.flatnonzero(area > 0)
+                if keep.size:
+                    found[d].append((ii[keep], jj[keep], area[keep]))
+        for pieces in found:
+            if not pieces:
+                continue
+            ii, jj, area = (_joined(list(col), _EMPTY_INDEX) for col in zip(*pieces))
+            order = _emission_order(ii, jj, n)
+            out_a.append(ranks[ii[order]])
+            out_b.append(ranks[jj[order]])
+            out_area.append(area[order])
         _record_exact(sum(x.size for x in out_a))
         if not out_a:
             empty32 = np.empty(0, dtype=np.int32)
@@ -353,21 +384,14 @@ def face_contacts(
         )
     _record_brute(n * n)
     for d in range(ndim):
-        for sl in _chunks(n, n):
+        for sl in _chunk_slices(n, n):
             contact = hi[sl, None, d] == lo[None, :, d]
             contact &= ranks[sl, None] != ranks[None, :]
             if not contact.any():
                 continue
             ii, jj = np.nonzero(contact)
             ii += sl.start
-            area = np.ones(ii.size, dtype=np.int64)
-            for e in range(ndim):
-                if e == d:
-                    continue
-                width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(
-                    lo[ii, e], lo[jj, e]
-                )
-                area *= np.clip(width, 0, None)
+            area = _face_areas(lo, hi, ii, jj, d)
             keep = area > 0
             if keep.any():
                 out_a.append(ranks[ii[keep]])

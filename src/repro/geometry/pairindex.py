@@ -38,6 +38,14 @@ ordering.  Every path therefore produces **bit-identical** outputs —
 asserted by the property suite and by the whole-step oracle checks in
 ``tests/oracles.py``.
 
+Candidates arrive as a **stream** of ``(ai, bj)`` chunks.  Every join
+splits its raw pair enumeration (bucket products, sweep prefixes) at
+:data:`_CHUNK_PAIRS`, so the exact kernels downstream never hold more
+than one chunk of candidates: replay memory is set by the boxes and the
+budget, not by how many pairs a fragmented distribution produces.  A
+query whose raw pairs fit the budget is one chunk, computed exactly as
+an unchunked join would.
+
 The active path is selected by the ``REPRO_PAIR_INDEX`` environment
 variable (``auto`` | ``grid`` | ``sweep`` | ``bruteforce``; default
 ``auto`` = grid with a small-product brute-force cutoff) or forced
@@ -68,6 +76,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -85,6 +94,9 @@ __all__ = [
     "reset_pair_index_counters",
 ]
 
+#: A candidate stream: ``(ai, bj)`` int64 chunk arrays.
+PairStream = Iterator[tuple[np.ndarray, np.ndarray]]
+
 #: Recognized values of ``REPRO_PAIR_INDEX``.
 PAIR_INDEX_MODES = ("auto", "grid", "sweep", "bruteforce")
 
@@ -97,9 +109,10 @@ _AUTO_BRUTE_CUTOFF = 16_384
 #: ratios: boxes spanning many buckets each).
 _GRID_INCIDENCE_FACTOR = 32
 
-#: Row budget of the sweep's chunked prefix enumeration (mirrors
-#: ``ownermap._PAIR_CHUNK_CELLS``).
-_SWEEP_CHUNK_PAIRS = 16_000_000
+#: Raw pairs per candidate chunk: the bucket join, the sweep's prefix
+#: enumeration and the brute-force broadcast all split their work here,
+#: so a kernel's working set is O(_CHUNK_PAIRS + boxes).
+_CHUNK_PAIRS = 1 << 18
 
 #: A delta update is abandoned for a full rebuild when
 #: ``removed + added`` exceeds this fraction of the new box count —
@@ -272,15 +285,16 @@ def candidate_pairs(
     *,
     a_index: "PairIndex | None" = None,
     b_index: "PairIndex | None" = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate ``(ai, bj)`` index pairs of two corner arrays.
+) -> PairStream | None:
+    """Candidate ``(ai, bj)`` index pairs of two corner arrays, in chunks.
 
     Returns ``None`` when the caller should run its brute-force
     broadcast (``bruteforce`` mode, or ``auto`` below the small-product
-    cutoff); otherwise two int64 index arrays that hold every
-    intersecting pair plus some near misses, each pair **exactly once**
-    and in no particular order.  Kernels that emit pairs order their
-    exact survivors themselves.
+    cutoff); otherwise an iterator of int64 ``(ai, bj)`` chunk arrays
+    that together hold every intersecting pair plus some near misses,
+    each pair **exactly once** and in no particular order.  Each chunk
+    comes from at most :data:`_CHUNK_PAIRS` raw pairs.  Kernels that
+    emit pairs order their exact survivors themselves.
 
     ``closed`` treats boxes as closed intervals ``[lo, hi]`` so *abutting*
     boxes also cohabit a bucket — the face-contact query needs touching
@@ -291,6 +305,10 @@ def candidate_pairs(
     operand (identity-checked), candidates come from one one-sided probe
     instead of a fresh two-sided build; the exact survivors are the
     same either way.
+
+    The path (and its ``*_queries`` counter) is chosen when this is
+    called; ``candidate_pairs`` is charged per chunk as the stream is
+    consumed.
     """
     n_a, n_b = a.shape[0], b.shape[0]
     _record(queries=1, pair_product=n_a * n_b)
@@ -300,14 +318,13 @@ def candidate_pairs(
     if mode == "auto" and n_a * n_b <= _AUTO_BRUTE_CUTOFF:
         return None
     if n_a == 0 or n_b == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return iter(())
     if n_a == 1 or n_b == 1:
         # One-row operand: the interval test along every axis *is* the
         # candidate filter — O(n), no index to build.  This keeps the
         # thousands of per-box subtraction queries the overlay kernels
         # issue cheap even when an indexed mode is forced.
-        return _single_candidates(a, b, closed)
+        return iter((_single_candidates(a, b, closed),))
     if b_index is not None and b_index.indexes(b):
         hit = b_index.query(a, closed)
         if hit is not None:
@@ -315,10 +332,41 @@ def candidate_pairs(
     if a_index is not None and a_index.indexes(a):
         hit = a_index.query(b, closed)
         if hit is not None:
-            return hit[1], hit[0]
+            return ((ai, bj) for bj, ai in hit)
     if mode == "sweep":
         return _sweep_candidates(a, b, closed)
     return _grid_candidates(a, b, closed)
+
+
+def _chunk_ranges(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ``[start, end)`` row ranges of at most ``_CHUNK_PAIRS``.
+
+    ``counts`` holds the raw pairs each row expands to; a range sums to
+    the budget or less, except a single row above it, which is a range
+    of its own.  One range covers everything when the total fits.
+    """
+    n = counts.size
+    if int(counts.sum()) <= _CHUNK_PAIRS:
+        return [(0, n)] if n else []
+    csum = np.cumsum(counts)
+    ranges = []
+    start = 0
+    while start < n:
+        done = int(csum[start - 1]) if start else 0
+        end = int(np.searchsorted(csum, done + _CHUNK_PAIRS, side="right"))
+        end = max(start + 1, end)
+        ranges.append((start, end))
+        start = end
+    return ranges
+
+
+def _chunk_slices(n_a: int, n_b: int) -> Iterator[slice]:
+    """Row slices of ``a`` keeping each ``(rows, n_b)`` broadcast in budget."""
+    if n_a == 0 or n_b == 0:
+        return
+    step = max(1, _CHUNK_PAIRS // n_b)
+    for start in range(0, n_a, step):
+        yield slice(start, min(start + step, n_a))
 
 
 def _single_candidates(
@@ -337,9 +385,7 @@ def _single_candidates(
     return ai.astype(np.int64), bj.astype(np.int64)
 
 
-def _grid_candidates(
-    a: np.ndarray, b: np.ndarray, closed: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid_candidates(a: np.ndarray, b: np.ndarray, closed: bool) -> PairStream:
     """Bucket-join candidates (see module docstring for the scheme)."""
     ndim = a.shape[1] // 2
     lo = np.concatenate((a[:, :ndim], b[:, :ndim]))
@@ -390,7 +436,7 @@ class _Buckets:
 
     def join(
         self, qkeys: np.ndarray, qrows: np.ndarray, qfirst: np.ndarray, ndim: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> PairStream:
         """Duplicate-free join of query incidences against the buckets.
 
         Every query incidence is paired with the incidences of its
@@ -400,25 +446,31 @@ class _Buckets:
         cell of either box there, so the test is ``(qfirst | first) ==
         all axes``.  Both boxes touch the reference bucket whenever they
         share any bucket, so every pair the buckets join comes out once.
-        Returns ``(query row, bucketed row)``.
+        Yields ``(query row, bucketed row)`` chunks, splitting the query
+        incidences where their raw pairs pass :data:`_CHUNK_PAIRS`.
         """
-        empty = np.empty(0, dtype=np.int64)
         if self.ukeys.size == 0 or qkeys.size == 0:
-            return empty, empty
+            return
         pos = np.searchsorted(self.ukeys, qkeys)
         np.minimum(pos, self.ukeys.size - 1, out=pos)
         count = np.where(self.ukeys[pos] == qkeys, self.ucount[pos], 0)
-        total = int(count.sum())
-        if total == 0:
-            return empty, empty
-        # Position of each raw (query incidence, bucketed incidence)
-        # pair in the sorted incidences.
-        x = np.arange(total, dtype=np.int64)
-        x += np.repeat(self.ustart[pos] - (np.cumsum(count) - count), count)
-        keep = (np.repeat(qfirst, count) | self.first[x]) == (1 << ndim) - 1
-        xj = self.rows[x[keep]]
-        _record(candidate_pairs=xj.size)
-        return np.repeat(qrows, count)[keep], xj
+        start = self.ustart[pos]
+        del pos  # not needed while the stream is consumed
+        full = (1 << ndim) - 1
+        for lo, hi in _chunk_ranges(count):
+            c = count[lo:hi]
+            ends = np.cumsum(c)
+            total = int(ends[-1])
+            if total == 0:
+                continue
+            # Position of each raw (query incidence, bucketed incidence)
+            # pair in the sorted incidences.
+            x = np.arange(total, dtype=np.int64)
+            x += np.repeat(start[lo:hi] - (ends - c), c)
+            keep = (np.repeat(qfirst[lo:hi], c) | self.first[x]) == full
+            xj = self.rows[x[keep]]
+            _record(candidate_pairs=xj.size)
+            yield np.repeat(qrows[lo:hi], c)[keep], xj
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -459,9 +511,7 @@ def _cell_keys(
     return keys, rows, first
 
 
-def _sweep_candidates(
-    a: np.ndarray, b: np.ndarray, closed: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_candidates(a: np.ndarray, b: np.ndarray, closed: bool) -> PairStream:
     """Sorted 1-D interval sweep along the most selective axis.
 
     Exact along the sweep axis (candidates = pairs whose extents overlap
@@ -490,40 +540,27 @@ def _sweep_join(
     b_hi_s: np.ndarray,
     order: np.ndarray,
     closed: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> PairStream:
     """Chunked interval join against pre-sorted ``b`` intervals.
 
-    Returns ``(ai, bj)`` pairs, each once (``bj`` in original ``b`` row
-    numbers, unsorted within an ``ai``).  Shared by the
-    one-shot sweep path and :class:`PairIndex`'s persistent sweep kind.
+    Yields ``(ai, bj)`` chunks, each pair once (``bj`` in original ``b``
+    row numbers, unsorted within an ``ai``).  Shared by the one-shot
+    sweep path and :class:`PairIndex`'s persistent sweep kind.
     """
-    n_a = a_lo.shape[0]
     # Candidates of row i: sorted-prefix j with b_lo_j < a_hi_i (<= when
     # closed), filtered by b_hi_j > a_lo_i (>= when closed).
     side = "right" if closed else "left"
     upper = np.searchsorted(b_lo_s, a_hi, side=side)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    csum = np.concatenate(([0], np.cumsum(upper)))
-    start = 0
-    while start < n_a:
-        end = int(
-            np.searchsorted(csum, csum[start] + _SWEEP_CHUNK_PAIRS, side="left")
-        )
-        end = max(start + 1, min(end, n_a))
+    for start, end in _chunk_ranges(upper):
         counts = upper[start:end]
-        if counts.any():
-            ii = np.repeat(np.arange(start, end, dtype=np.int64), counts)
-            jj = _ramp(counts)
-            keep = b_hi_s[jj] >= a_lo[ii] if closed else b_hi_s[jj] > a_lo[ii]
-            out_i.append(ii[keep])
-            out_j.append(order[jj[keep]])
-        start = end
-    if not out_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    _record(candidate_pairs=sum(i.size for i in out_i))
-    return np.concatenate(out_i), np.concatenate(out_j)
+        if not counts.any():
+            continue
+        ii = np.repeat(np.arange(start, end, dtype=np.int64), counts)
+        jj = _ramp(counts)
+        keep = b_hi_s[jj] >= a_lo[ii] if closed else b_hi_s[jj] > a_lo[ii]
+        ii = ii[keep]
+        _record(candidate_pairs=ii.size)
+        yield ii, order[jj[keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -671,26 +708,22 @@ class PairIndex:
 
     # -- probing ----------------------------------------------------------
 
-    def query(
-        self, q: np.ndarray, closed: bool
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Raw candidate ``(query_row, indexed_row)`` pairs, or ``None``.
+    def query(self, q: np.ndarray, closed: bool) -> PairStream | None:
+        """Candidate ``(query_row, indexed_row)`` chunks, or ``None``.
 
         ``None`` means the probe declined (query-side bucket incidences
         would explode) and the caller should fall back to the two-sided
         per-query path.  Pairs are a superset of all intersecting
-        (``closed``: touching) pairs, each exactly once, unordered.
+        (``closed``: touching) pairs, each exactly once, unordered, in
+        chunks of at most :data:`_CHUNK_PAIRS` raw pairs.
         """
         if self._kind == "empty":
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return iter(())
         if self._kind == "sweep":
             return self._sweep_query(q, closed)
         return self._grid_query(q, closed)
 
-    def _grid_query(
-        self, q: np.ndarray, closed: bool
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    def _grid_query(self, q: np.ndarray, closed: bool) -> PairStream | None:
         ndim = self._dims.size
         lo = q[:, :ndim]
         inclusive_hi = q[:, ndim:] if closed else q[:, ndim:] - 1
@@ -708,16 +741,14 @@ class PairIndex:
         if incidences > _GRID_INCIDENCE_FACTOR * q.shape[0] + 1024:
             return None
         _record(grid_queries=1, index_reuses=1)
-        qi, xj = self._buckets.join(
+        stream = self._buckets.join(
             *_cell_keys(lo_cell, spans, self._strides), ndim
         )
-        if row_map is not None:
-            qi = row_map[qi]
-        return qi, xj
+        if row_map is None:
+            return stream
+        return ((row_map[qi], xj) for qi, xj in stream)
 
-    def _sweep_query(
-        self, q: np.ndarray, closed: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep_query(self, q: np.ndarray, closed: bool) -> PairStream:
         _record(sweep_queries=1, index_reuses=1)
         ndim = q.shape[1] // 2
         a_lo = q[:, self._axis]

@@ -57,11 +57,15 @@ from ..geometry import (
     pair_intersections,
 )
 from ..hierarchy import GridHierarchy
-from ..sfc import sfc_order_nd
+from ..sfc import sfc_key_nd
 from .base import PartitionResult, Partitioner
 from .chains import greedy_chains, segments_to_ranks
 
 __all__ = ["NatureFableParams", "NaturePlusFable"]
+
+#: Units per slice of the SFC key computation: the per-axis coordinate
+#: and key temporaries stay O(slice) however many units a window holds.
+_KEY_SLICE = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,29 +147,33 @@ def _assign_sequence(
 
 
 def _merge_unit_runs(
-    coords: np.ndarray, ranks: np.ndarray
+    flat: np.ndarray, ranks: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge same-rank unit cells into runs along the last axis.
 
-    ``coords`` is ``(k, ndim)`` integer cell coordinates, distinct and
-    in row-major order (as ``np.nonzero`` enumerates them), with a rank
-    per cell; returns ``(corners, ranks)`` of maximal row-major runs —
-    the sparse replacement for lifting a dense unit-owner raster through
-    ``boxes_from_labels``.
+    ``flat`` holds distinct C-order flat indices into a grid of
+    ``shape``, ascending (as ``np.flatnonzero`` enumerates them), with a
+    rank per cell; returns ``(corners, ranks)`` of maximal row-major
+    runs — the sparse replacement for lifting a dense unit-owner raster
+    through ``boxes_from_labels``.  A run breaks where the rank changes,
+    where the next cell is not the flat successor, or where it starts a
+    new grid row; only run endpoints are unravelled to coordinates.
     """
-    k, ndim = coords.shape
+    k = flat.size
+    ndim = len(shape)
     if k == 0:
         return np.empty((0, 2 * ndim), dtype=np.int64), ranks[:0]
     breaks = np.ones(k, dtype=bool)
-    breaks[1:] = (
-        (ranks[1:] != ranks[:-1])
-        | (coords[1:, :-1] != coords[:-1, :-1]).any(axis=1)
-        | (coords[1:, -1] != coords[:-1, -1] + 1)
-    )
+    np.not_equal(ranks[1:], ranks[:-1], out=breaks[1:])
+    breaks[1:] |= flat[1:] != flat[:-1] + 1
+    breaks[1:] |= flat[1:] % shape[-1] == 0
     starts = np.flatnonzero(breaks)
     ends = np.append(starts[1:], k)
-    corners = np.concatenate((coords[starts], coords[ends - 1] + 1), axis=1)
-    return corners.astype(np.int64), ranks[starts]
+    lo = np.unravel_index(flat[starts], shape)
+    hi = np.unravel_index(flat[ends - 1], shape)
+    corners = np.stack(lo + hi, axis=1).astype(np.int64)
+    corners[:, ndim:] += 1
+    return corners, ranks[starts]
 
 
 class NaturePlusFable(Partitioner):
@@ -309,8 +317,8 @@ class NaturePlusFable(Partitioner):
         sparsely and merged into same-rank runs — no owner raster.
         """
         unit_w = np.where(mask, 1.0, 0.0)
-        coords, cell_rank = self._assign_units(unit_w, ranks)
-        corners, run_ranks = _merge_unit_runs(coords, cell_rank)
+        flat, cell_rank = self._assign_units(unit_w, ranks)
+        corners, run_ranks = _merge_unit_runs(flat, cell_rank, unit_w.shape)
         if corners.shape[0]:
             parts[0].append((corners, run_ranks))
 
@@ -371,10 +379,13 @@ class NaturePlusFable(Partitioner):
                     )
             if not (unit_w > 0).any():
                 continue
-            coords, cell_rank = self._assign_units(
+            flat, cell_rank = self._assign_units(
                 unit_w, ranks, origin=win_lo, unit_shape=unit_shape
             )
-            unit_box_corners, unit_ranks = _merge_unit_runs(coords, cell_rank)
+            unit_box_corners, unit_ranks = _merge_unit_runs(
+                flat, cell_rank, unit_w.shape
+            )
+            unit_box_corners += np.concatenate((win_lo, win_lo))
             unit_corners = unit_box_corners * unit
             # Paint every member level of the bi-level from one decomposition.
             for lf in lf_range:
@@ -399,26 +410,27 @@ class NaturePlusFable(Partitioner):
         SFC ordering) and ``unit_shape`` the full grid's extents (fixing
         the curve's order bits), so a windowed call assigns exactly what
         a full-grid call would.  Only units with positive weight are
-        enumerated — ``(k, ndim)`` coordinates in row-major order plus a
-        rank per unit (assigned along the SFC order); no dense owner
-        raster exists at any point.  Every cell
-        the bi-level must own lies in a unit with positive weight (the
-        weights are integer counts times positive level weights).
+        enumerated — their C-order flat indices into the window,
+        ascending, plus a rank per unit (assigned along the SFC order);
+        no dense owner raster exists at any point, and coordinates exist
+        only one key slice at a time.  Every cell the bi-level must own
+        lies in a unit with positive weight (the weights are integer
+        counts times positive level weights).
         """
         p = self.params
         if unit_shape is None:
             unit_shape = unit_w.shape
-        nonzero = np.nonzero(unit_w > 0)
-        coords = np.stack(nonzero, axis=1).astype(np.int64)
-        if origin is not None:
-            coords += np.asarray(origin, dtype=np.int64)
+        flat = np.flatnonzero(unit_w > 0)
         order_bits = max(1, int(np.ceil(np.log2(max(unit_shape)))))
-        order = sfc_order_nd(
-            [coords[:, d] for d in range(coords.shape[1])],
-            curve=p.curve,
-            order=order_bits,
-        )
-        seq_w = unit_w[nonzero][order]
+        keys = np.empty(flat.size, dtype=np.uint64)
+        for start in range(0, flat.size, _KEY_SLICE):
+            part = slice(start, start + _KEY_SLICE)
+            coords = np.unravel_index(flat[part], unit_w.shape)
+            if origin is not None:
+                coords = [c + int(o) for c, o in zip(coords, origin)]
+            keys[part] = sfc_key_nd(coords, curve=p.curve, order=order_bits)
+        order = np.argsort(keys, kind="stable")
+        seq_w = unit_w.reshape(-1)[flat[order]]
         row_rank = np.empty(order.size, dtype=np.int32)
         row_rank[order] = _assign_sequence(seq_w, ranks, p.q)
-        return coords, row_rank
+        return flat, row_rank

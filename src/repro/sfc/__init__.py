@@ -10,6 +10,7 @@ from .curves import (
     morton_inverse_nd,
     morton_key,
     morton_key_nd,
+    sfc_key_nd,
     sfc_order,
     sfc_order_nd,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "morton_inverse_nd",
     "morton_key",
     "morton_key_nd",
+    "sfc_key_nd",
     "sfc_order",
     "sfc_order_nd",
 ]

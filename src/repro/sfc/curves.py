@@ -399,6 +399,17 @@ def hilbert_inverse_nd(
 # ---------------------------------------------------------------------------
 # Ordering helpers
 # ---------------------------------------------------------------------------
+def sfc_key_nd(
+    coords: Sequence[np.ndarray], curve: str = "hilbert", order: int | None = None
+) -> np.ndarray:
+    """Curve keys of N-D cells (``"hilbert"`` or ``"morton"``), uint64."""
+    if curve == "hilbert":
+        return hilbert_key_nd(coords, order)
+    if curve == "morton":
+        return morton_key_nd(coords, order)
+    raise ValueError(f"unknown curve {curve!r} (use 'hilbert' or 'morton')")
+
+
 def sfc_order_nd(
     coords: Sequence[np.ndarray], curve: str = "hilbert", order: int | None = None
 ) -> np.ndarray:
@@ -416,13 +427,7 @@ def sfc_order_nd(
     ndarray of int
         ``argsort`` of the curve keys, stable.
     """
-    if curve == "hilbert":
-        keys = hilbert_key_nd(coords, order)
-    elif curve == "morton":
-        keys = morton_key_nd(coords, order)
-    else:
-        raise ValueError(f"unknown curve {curve!r} (use 'hilbert' or 'morton')")
-    return np.argsort(keys, kind="stable")
+    return np.argsort(sfc_key_nd(coords, curve, order), kind="stable")
 
 
 def sfc_order(

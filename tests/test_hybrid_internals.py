@@ -160,9 +160,10 @@ class TestUnitMerge:
         seed = data.draw(st.integers(0, 2**31 - 1))
         rng = np.random.default_rng(seed)
         mask = rng.random((6,) * ndim) < data.draw(st.floats(0.0, 1.0))
-        coords = np.argwhere(mask).astype(np.int64)  # row-major
+        flat = np.flatnonzero(mask)  # row-major
+        coords = np.argwhere(mask).astype(np.int64)
         ranks = rng.integers(0, 3, size=coords.shape[0]).astype(np.int32)
-        got = _merge_unit_runs(coords, ranks)
+        got = _merge_unit_runs(flat, ranks, mask.shape)
         want = lexsort_merge_unit_runs(coords, ranks)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -182,7 +183,8 @@ class TestUnitMerge:
             params = params.balance_focused()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
 
-        def shuffled_oracle(coords, ranks):
+        def shuffled_oracle(flat, ranks, shape):
+            coords = np.stack(np.unravel_index(flat, shape), axis=1)
             perm = rng.permutation(coords.shape[0])
             return lexsort_merge_unit_runs(coords[perm], ranks[perm])
 

@@ -18,6 +18,8 @@ index, and the dense-raster oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,9 @@ from repro.geometry import (
     box_corners,
     candidate_pairs,
     face_contacts,
+    matched_volume,
+    overlap_and_matched_volume,
+    overlap_volume,
     overlay_corners,
     pair_counters_scope,
     pair_index_counters,
@@ -38,6 +43,8 @@ from repro.geometry import (
     reset_pair_index_counters,
     subtract_corners,
 )
+from repro.geometry import pairindex
+from repro.geometry.pairindex import _GRID_INCIDENCE_FACTOR
 from repro.simulator import TraceSimulator
 
 from tests.oracles import (
@@ -121,8 +128,19 @@ def _exact_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> set:
     return out
 
 
+def _drain(stream):
+    """One ``(ai, bj)`` array pair from a candidate stream (None passes)."""
+    if stream is None:
+        return None
+    chunks = list(stream)
+    if not chunks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return tuple(np.concatenate(side) for side in zip(*chunks))
+
+
 def _query_pairs(index: PairIndex, q: np.ndarray, closed: bool) -> set | None:
-    hit = index.query(q, closed)
+    hit = _drain(index.query(q, closed))
     if hit is None:
         return None
     qi, xj = hit
@@ -325,7 +343,7 @@ def test_candidates_are_the_deduplicated_bucket_join(ndim, data):
             if index.kind == "empty":
                 continue
             want = canonical_candidate_pairs(*_probe_cells(index, q, new, closed))
-            hit = index.query(q, closed)
+            hit = _drain(index.query(q, closed))
             if hit is None:  # probe declined: callers fall back per-query
                 continue
             _assert_same_stream(hit, want)
@@ -333,25 +351,65 @@ def test_candidates_are_the_deduplicated_bucket_join(ndim, data):
                 continue
             with pair_index_forced(index.kind):
                 with pair_counters_scope() as counters:
-                    ai, bj = candidate_pairs(q, new, closed, b_index=index)
+                    ai, bj = _drain(candidate_pairs(q, new, closed, b_index=index))
                 _assert_same_stream((ai, bj), want)
                 assert counters.candidate_pairs == want[0].size
-                xi, qj = candidate_pairs(new, q, closed, a_index=index)
+                xi, qj = _drain(candidate_pairs(new, q, closed, a_index=index))
                 _assert_same_stream((qj, xi), want)
         if not both_indexed:
             continue
-        lo = np.concatenate((q[:, :ndim], new[:, :ndim]))
-        hi = np.concatenate((q[:, ndim:], new[:, ndim:]))
-        cell = np.maximum(1, np.median(hi - lo, axis=0).astype(np.int64))
+        _assert_two_sided_grid_join(q, new, closed)
+
+
+def _assert_two_sided_grid_join(q: np.ndarray, x: np.ndarray, closed: bool):
+    """The two-sided ``grid`` join emits its path's oracle candidates.
+
+    The join buckets both operands on one grid (cell = median extent)
+    and falls back to the sorted sweep once their cell incidences pass
+    ``_GRID_INCIDENCE_FACTOR`` times the box count; the expected path is
+    derived from the same rule, and its counter and oracle asserted.
+    """
+    ndim = q.shape[1] // 2
+    lo = np.concatenate((q[:, :ndim], x[:, :ndim]))
+    hi = np.concatenate((q[:, ndim:], x[:, ndim:]))
+    cell = np.maximum(1, np.median(hi - lo, axis=0).astype(np.int64))
+    q_cells = _bucket_cells(q, cell, closed)
+    x_cells = _bucket_cells(x, cell, closed)
+    spans = np.concatenate((q_cells, x_cells))
+    incidences = int(np.prod(spans[:, ndim:] - spans[:, :ndim] + 1, axis=1).sum())
+    grid = incidences <= _GRID_INCIDENCE_FACTOR * spans.shape[0] + 1024
+    if grid:
+        want = canonical_candidate_pairs(q_cells, x_cells)
+    else:
+        # The sweep's axis: largest first-corner spread per median extent.
+        spread = lo.max(axis=0) - lo.min(axis=0)
+        axis = int(np.argmax(spread / np.maximum(1, np.median(hi - lo, axis=0))))
+        cols = [axis, ndim + axis]
+        one = np.ones(1, dtype=np.int64)
         want = canonical_candidate_pairs(
-            _bucket_cells(q, cell, closed), _bucket_cells(new, cell, closed)
+            _bucket_cells(q[:, cols], one, closed),
+            _bucket_cells(x[:, cols], one, closed),
         )
-        with pair_index_forced("grid"):
-            with pair_counters_scope() as counters:
-                got = candidate_pairs(q, new, closed)
-        _assert_same_stream(got, want)
-        assert counters.grid_queries == 1
-        assert counters.candidate_pairs == want[0].size
+    with pair_index_forced("grid"):
+        with pair_counters_scope() as counters:
+            got = _drain(candidate_pairs(q, x, closed))
+    _assert_same_stream(got, want)
+    assert (counters.grid_queries, counters.sweep_queries) == (
+        (1, 0) if grid else (0, 1)
+    )
+    assert counters.candidate_pairs == want[0].size
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_two_sided_grid_falls_back_to_the_sweep(closed):
+    """A box spanning 8^4 unit cells sends forced ``grid`` to the sweep."""
+    q = np.asarray([[0, 0, 0, 0, 8, 8, 8, 8], [1, 1, 1, 1, 2, 2, 2, 2]])
+    x = np.asarray([[i] * 4 + [i + 1] * 4 for i in range(5)])
+    with pair_index_forced("grid"):
+        with pair_counters_scope() as counters:
+            _drain(candidate_pairs(q, x, closed))
+    assert (counters.grid_queries, counters.sweep_queries) == (0, 1)
+    _assert_two_sided_grid_join(q, x, closed)
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
@@ -383,6 +441,132 @@ def test_survivor_order_matches_bruteforce(ndim, data):
                 got = pair_intersections(other, corners, **kwargs)
                 for g, w in zip(got, want_pairs):
                     np.testing.assert_array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries of the candidate stream
+
+#: The pair-kernel counters perfbench checks exactly.
+_CHECKED_COUNTERS = (
+    "candidate_pairs",
+    "exact_pairs",
+    "index_builds",
+    "index_reuses",
+    "delta_updates",
+)
+
+
+def _every_kernel(corners, ranks, other, other_ranks, shape):
+    """Each pair kernel on each candidate path (fresh, delta, per-query)."""
+    index = PairIndex(shape, corners[::2]).updated_to(corners)
+    other_index = PairIndex(shape, other)
+    return [
+        face_contacts(corners, ranks),
+        face_contacts(corners, ranks, index=index),
+        pair_intersections(other, corners),
+        pair_intersections(other, corners, b_index=index),
+        pair_intersections(other, corners, a_index=other_index),
+        overlap_volume(other, corners, b_index=index),
+        matched_volume(other, other_ranks, corners, ranks),
+        matched_volume(other, other_ranks, corners, ranks, b_index=index),
+        overlap_and_matched_volume(
+            other, other_ranks, corners, ranks, a_index=other_index
+        ),
+    ]
+
+
+def _assert_same_outputs(got, want) -> None:
+    for g, w in zip(got, want, strict=True):
+        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
+        for ga, wa in zip(g, w, strict=True):
+            assert np.asarray(ga).dtype == np.asarray(wa).dtype
+            np.testing.assert_array_equal(ga, wa)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chunk_boundaries_change_nothing(ndim, data):
+    """Any chunk budget gives the brute-force outputs and the same counters.
+
+    Budgets of 1 and 7 raw pairs split the bucket join, the sweep and
+    the brute-force broadcast mid-stream.  Every kernel's output —
+    including ``face_contacts``' emission order — must equal the
+    ``bruteforce`` oracle's, and the five checked counters must equal
+    the default budget's on the same path.
+    """
+    boxes = data.draw(disjoint_boxlists(max_boxes=12, max_coord=24, ndim=ndim))
+    corners = box_corners(boxes, ndim)
+    other = data.draw(corner_arrays(ndim, max_boxes=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    ranks = rng.integers(0, 3, size=corners.shape[0]).astype(np.int32)
+    other_ranks = rng.integers(0, 3, size=other.shape[0]).astype(np.int32)
+    shape = tuple([32] * ndim)
+    args = (corners, ranks, other, other_ranks, shape)
+    with pair_index_forced("bruteforce"):
+        want = _every_kernel(*args)
+    counts = {}
+    for budget in (pairindex._CHUNK_PAIRS, 7, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairindex, "_CHUNK_PAIRS", budget)
+            for mode in ("bruteforce", "grid", "sweep"):
+                with pair_index_forced(mode), pair_counters_scope() as c:
+                    got = _every_kernel(*args)
+                _assert_same_outputs(got, want)
+                seen = tuple(getattr(c, name) for name in _CHECKED_COUNTERS)
+                assert counts.setdefault(mode, seen) == seen, (mode, budget)
+
+
+def _fragmented_runs(side: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``side**3`` grid cut into unit columns of random-length z runs."""
+    rng = np.random.default_rng(seed)
+    starts = np.ones((side, side, side), dtype=bool)
+    starts[:, :, 1:] = rng.random((side, side, side - 1)) < 0.25
+    flat = np.flatnonzero(starts)
+    column = flat // side
+    end = np.minimum(np.append(flat[1:], side**3), (column + 1) * side)
+    x, y = np.divmod(column, side)
+    z = flat - column * side
+    corners = np.stack((x, y, z, x + 1, y + 1, z + end - flat), axis=1)
+    ranks = rng.integers(0, 16, size=corners.shape[0]).astype(np.int32)
+    return corners.astype(np.int64), ranks
+
+
+def test_kernel_memory_is_bounded_by_the_chunk_budget():
+    """Millions of candidates, a working set of O(_CHUNK_PAIRS + boxes).
+
+    ``face_contacts`` on a fragmented 3-D map and ``matched_volume``
+    against a second map fragmented along another axis each stream over
+    a million candidate pairs through a persistent index.  Their
+    tracemalloc peak must stay under 48 bytes per budgeted pair plus
+    512 bytes per box of the larger operand (the index's incidence
+    arrays and the survivors) — far below what the materialized
+    candidate stream would take.
+    """
+    side = 64
+    a, a_ranks = _fragmented_runs(side, 0)
+    b, b_ranks = _fragmented_runs(side, 1)
+    b = b[:, [2, 1, 0, 5, 4, 3]].copy()
+    shape = (side,) * 3
+    with pair_index_forced("grid"):
+        a_index, b_index = PairIndex(shape, a), PairIndex(shape, b)
+        kernels = {
+            "face_contacts": lambda: face_contacts(a, a_ranks, index=a_index),
+            "matched_volume": lambda: matched_volume(
+                a, a_ranks, b, b_ranks, b_index=b_index
+            ),
+        }
+        bound = 48 * pairindex._CHUNK_PAIRS + 512 * max(a.shape[0], b.shape[0])
+        for name, kernel in kernels.items():
+            tracemalloc.start()
+            try:
+                with pair_counters_scope() as counters:
+                    kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counters.candidate_pairs > 1_000_000, name
+            assert peak < bound, f"{name}: peak {peak} B >= bound {bound} B"
 
 
 # ---------------------------------------------------------------------------
